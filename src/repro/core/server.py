@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Set
 
 from repro import obs
@@ -126,9 +127,9 @@ class StreamServer:
         # f-string + registry probe per call were measurable.
         self._srv_name = f"{name}.srv"
         self._direct_name = f"{name}.direct"
-        self._copy_name = f"{name}.copy"
         self._pump_name = f"{name}.pump"
         self._mem_name = f"{name}.mem"
+        self._copy_s = self.params.completion_copy_s
         stats = self.stats
         self._c_direct = stats.counter("direct")
         self._c_staged_hits = stats.counter("staged_hits")
@@ -325,7 +326,8 @@ class StreamServer:
             self._issue_direct(request, event)
             return event
         stream = self.classifier.route(request, self.sim.now)
-        self.gc.ensure_running()
+        if not self.gc.running:
+            self.gc.ensure_running()
         if stream is None:
             if self._obs_on:
                 self._obs_phase(request, "server.direct")
@@ -460,22 +462,18 @@ class StreamServer:
                               event: Event) -> None:
         self._consume(stream, request)
         self._c_staged_hits.add(request.size)
-        self.sim.process(self._copy_complete(request, event),
-                         name=self._copy_name)
-
-    def _copy_complete(self, request: IORequest, event: Event):
-        """Model the memory-to-client copy, then complete the request."""
-        yield self.sim.timeout(self.params.completion_copy_s)
-        self._finish(request, event)
+        self._finish_later(request, event)
 
     def _consume(self, stream: StreamQueue, request: IORequest) -> None:
         """Advance consumption over the stream's buffers (in order)."""
-        for buffer in list(self.buffered.stream_buffers(stream.stream_id)):
-            if buffer.offset >= request.end:
+        end = request.end
+        now = self.sim.now
+        consume = self.buffered.consume
+        for buffer in self.buffered.stream_buffers(stream.stream_id):
+            offset = buffer.offset
+            if offset >= end:
                 break
-            upto = min(buffer.end, request.end)
-            self.buffered.consume(buffer, buffer.offset,
-                                  upto - buffer.offset, self.sim.now)
+            consume(buffer, offset, min(buffer.end, end) - offset, now)
 
     def _finish(self, request: IORequest, event: Event) -> None:
         request.complete_time = self.sim.now
@@ -655,8 +653,18 @@ class StreamServer:
             span.set_arg("fetch_trace", fetch_span.trace_id)
 
     def _finish_later(self, request: IORequest, event: Event) -> None:
-        self.sim.process(self._copy_complete(request, event),
-                         name=self._copy_name)
+        """Model the memory-to-client copy, then complete the request.
+
+        The copy never waits on anything, so it is one timeout whose
+        callback runs :meth:`_finish`, not a Process (DESIGN.md §4,
+        "No Process for a hop that never waits").
+        """
+        copy = self.sim.timeout(self._copy_s)
+        copy.callbacks.append(partial(self._copy_done, request, event))
+
+    def _copy_done(self, request: IORequest, event: Event,
+                   _copy: Event) -> None:
+        self._finish(request, event)
 
     def _rotate(self, stream: StreamQueue) -> None:
         """End of residency: leave the dispatch set, requeue if needed.

@@ -114,9 +114,12 @@ class WriteCoalescer:
         if buffer is not None and request.offset != buffer.end:
             # Non-contiguous: flush the old run before starting anew.
             yield from self._flush(key)
-            buffer = None
         while self.dirty_bytes + request.size > params.memory_budget:
             yield from self._flush_oldest()
+        # Look the buffer up again: the budget wait may have flushed it,
+        # and a write added to a flushed buffer is acknowledged but never
+        # written.
+        buffer = self._buffers.get(key)
         if buffer is None:
             buffer = _GatherBuffer(request.disk_id, request.offset,
                                    self.sim.now)

@@ -60,6 +60,8 @@ class ReadaheadParams:
 class _StreamState:
     """Per-stream readahead bookkeeping."""
 
+    #: Name of this stream's miss-path Process (formatted once).
+    process_name: str = ""
     next_expected: int = -1
     window_bytes: int = 0
     issued_until: int = -1  # end offset of the last issued readahead
@@ -99,6 +101,11 @@ class BufferCache:
         self._dirty: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
         self._flusher_running = False
         self.stats = StatsRegistry()
+        # Precomputed event name + hit counter: read() runs once per
+        # client request, and the f-string + registry probe per call
+        # were measurable (the drive and controller do the same).
+        self._read_name = f"{name}.read"
+        self._c_hits = self.stats.counter("hits")
 
     # -- public API ----------------------------------------------------------
     def read(self, stream_id: int, disk_id: int, offset: int,
@@ -107,12 +114,34 @@ class BufferCache:
 
         Synchronous semantics: the event fires once every page of the
         range is resident (fetching a readahead window on miss).
+
+        A full hit never waits, so it is served here with no Process
+        (DESIGN.md §4, "No Process for a hop that never waits"): the
+        event succeeds in this call, at the current instant. Only a
+        miss or partial hit spawns :meth:`_read`.
         """
         if size <= 0:
             raise ValueError(f"non-positive read size: {size}")
-        event = self.sim.event(name=f"{self.name}.read")
-        self.sim.process(self._read(stream_id, disk_id, offset, size, event),
-                         name=f"{self.name}.s{stream_id}")
+        event = self.sim.event(self._read_name)
+        state = self._streams.get(stream_id)
+        if state is None:
+            state = self._streams[stream_id] = _StreamState(
+                process_name=f"{self.name}.s{stream_id}")
+        page = self.readahead.page_bytes
+        first = offset // page
+        last = (offset + size - 1) // page
+        pages = self._pages
+        for index in range(first, last + 1):
+            if (disk_id, index) not in pages:
+                self.sim.process(
+                    self._read(stream_id, state, disk_id, offset, size,
+                               event),
+                    name=state.process_name)
+                return event
+        move_to_end = pages.move_to_end
+        for index in range(first, last + 1):
+            move_to_end((disk_id, index))
+        self._hit(state, offset, size, event)
         return event
 
     def write(self, stream_id: int, disk_id: int, offset: int,
@@ -212,18 +241,24 @@ class BufferCache:
         return resident / (last - first + 1)
 
     # -- internals -------------------------------------------------------------
-    def _read(self, stream_id: int, disk_id: int, offset: int, size: int,
-              event: Event):
+    def _hit(self, state: _StreamState, offset: int, size: int,
+             event: Event) -> None:
+        """Complete a read whose pages are all resident (and touched)."""
+        self._c_hits.add(size)
+        state.next_expected = offset + size
+        event.succeed(None)
+
+    def _read(self, stream_id: int, state: _StreamState, disk_id: int,
+              offset: int, size: int, event: Event):
         page = self.readahead.page_bytes
         first = offset // page
         last = (offset + size - 1) // page
+        # Re-check residency: a fill can land between read() and this
+        # bootstrap at the same instant, turning the miss into a hit.
         missing = [index for index in range(first, last + 1)
                    if not self._touch(disk_id, index)]
-        state = self._streams.setdefault(stream_id, _StreamState())
         if not missing:
-            self.stats.counter("hits").add(size)
-            state.next_expected = offset + size
-            event.succeed(None)
+            self._hit(state, offset, size, event)
             return
         self.stats.counter("misses").add(size)
         sequential = offset == state.next_expected

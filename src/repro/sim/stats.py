@@ -131,22 +131,15 @@ class LatencySampler:
     Keeps a bounded reservoir for percentile estimates so memory stays flat
     even over millions of samples (simple systematic thinning: once full,
     every k-th sample replaces a slot round-robin — adequate for the smooth
-    latency distributions here and fully deterministic).
-
-    Passing ``sketch`` (a relative accuracy in (0, 1)) upgrades the
-    percentile path to a :class:`repro.obs.sketch.QuantileSketch`: every
-    sample is ingested, :meth:`percentile` answers from the sketch with
-    that guaranteed relative-error bound (the reservoir's thinning error
-    is unbounded), and :meth:`merge` folds sketches exactly. The default
-    keeps the reservoir-only behaviour bit-identical.
+    latency distributions here and fully deterministic). Percentiles
+    with a guaranteed error bound come from
+    :class:`repro.obs.sketch.QuantileSketch` instead.
     """
 
     __slots__ = ("name", "count", "_mean", "_m2", "min", "max",
-                 "_reservoir", "_capacity", "_stride", "_cursor",
-                 "_sketch")
+                 "_reservoir", "_capacity", "_stride", "_cursor")
 
-    def __init__(self, name: str = "", reservoir: int = 4096,
-                 sketch: Optional[float] = None):
+    def __init__(self, name: str = "", reservoir: int = 4096):
         self.name = name
         self.count = 0
         self._mean = 0.0
@@ -157,14 +150,6 @@ class LatencySampler:
         self._capacity = reservoir
         self._stride = 1
         self._cursor = 0
-        if sketch is None:
-            self._sketch = None
-        else:
-            # Deferred import: repro.obs is a higher layer and samplers
-            # are built on every simulator whether or not anyone asks
-            # for sketched percentiles.
-            from repro.obs.sketch import QuantileSketch
-            self._sketch = QuantileSketch(relative_accuracy=sketch)
 
     def observe(self, value: float) -> None:
         """Record one latency sample (seconds).
@@ -180,8 +165,6 @@ class LatencySampler:
             self.min = value
         if value > self.max:
             self.max = value
-        if self._sketch is not None:
-            self._sketch.add(value)
         reservoir = self._reservoir
         if len(reservoir) < self._capacity:
             reservoir.append(value)
@@ -209,13 +192,7 @@ class LatencySampler:
         return math.sqrt(self.variance)
 
     def percentile(self, q: float) -> float:
-        """Approximate q-quantile (q in [0, 1]).
-
-        From the sketch (guaranteed relative error) when one was
-        requested at construction, else from the reservoir.
-        """
-        if self._sketch is not None:
-            return self._sketch.quantile(q)
+        """Approximate q-quantile (q in [0, 1]), from the reservoir."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile out of range: {q}")
         if not self._reservoir:
@@ -235,12 +212,6 @@ class LatencySampler:
         """
         if other.count == 0:
             return
-        if self._sketch is not None and other._sketch is not None:
-            self._sketch.merge(other._sketch)
-        elif self._sketch is not None or other._sketch is not None:
-            raise ValueError(
-                "cannot merge a sketched sampler with a reservoir-only "
-                "one: percentiles would silently lose their bound")
         if self.count == 0:
             self.count = other.count
             self._mean = other._mean

@@ -1,5 +1,8 @@
 """Tests for the write-coalescing extension (DESIGN.md §5)."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.core import ServerParams, StreamServer, WriteCoalescer, \
@@ -7,9 +10,10 @@ from repro.core import ServerParams, StreamServer, WriteCoalescer, \
 from repro.disk import WD800JD
 from repro.disk.mechanics import RotationMode
 from repro.io import IOKind, IORequest
-from repro.node import base_topology, build_node
+from repro.node import base_topology, build_node, medium_topology
 from repro.sim import Simulator
 from repro.units import KiB, MiB
+from repro.workload import StreamClient, uniform_streams
 
 
 def make_stack(sim, **param_kwargs):
@@ -172,3 +176,40 @@ def test_write_throughput_improves_with_coalescing():
         return num_streams * per_stream / elapsed
 
     assert run(True) > 2 * run(False)
+
+
+def test_budget_wait_never_loses_acknowledged_writes():
+    """A write that waits for budget must not land in a flushed buffer.
+
+    128 writers' 1 MiB gather buffers need twice the default 64 MiB
+    budget, so writes wait in ``_absorb`` while ``_flush_oldest`` flushes
+    other streams' buffers, including, sometimes, the waiting stream's
+    own. Every acknowledged byte must still reach a flush.
+    """
+    sim = Simulator()
+    node = build_node(sim, medium_topology(disk_spec=WD800JD, seed=0))
+    server = StreamServer(sim, node, ServerParams(coalesce_writes=True))
+    coalescer = server.write_coalescer
+    assert coalescer.params.memory_budget == 64 * MiB
+    per_stream = 2 * MiB + 512 * KiB
+    specs = uniform_streams(32, node.disk_ids, node.capacity_bytes,
+                            request_size=64 * KiB, total_bytes=per_stream)
+    rng = random.Random(0)
+    writers = set()
+    for disk_index in range(len(node.disk_ids)):
+        writers.update(disk_index * 32 + i
+                       for i in rng.sample(range(32), 16))
+    clients = [StreamClient(sim, server,
+                            replace(spec, kind=IOKind.WRITE)
+                            if spec.stream_id in writers else spec)
+               for spec in specs]
+    sim.run_until_event(sim.all_of([c.start() for c in clients]),
+                        limit=600.0)
+    sim.run_until_event(coalescer.flush_all(), limit=600.0)
+    sim.run()
+    assert all(c.completed_bytes == per_stream and not c.errors
+               for c in clients)
+    written = per_stream * len(writers)
+    assert coalescer.dirty_bytes == 0
+    assert coalescer.stats.counter("absorbed").total_bytes == written
+    assert coalescer.stats.counter("flushes").total_bytes == written

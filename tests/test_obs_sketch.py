@@ -275,50 +275,12 @@ def test_ext_fleet_percentiles_within_stated_bound():
 
 
 # ---------------------------------------------------------------------------
-# LatencySampler integration (the sim-layer consumer)
+# LatencySampler keeps reservoir percentiles; sketches live in repro.obs
 # ---------------------------------------------------------------------------
-
-def test_latency_sampler_sketch_backend_bound():
-    from repro.sim.stats import LatencySampler
-    rng = random.Random(50)
-    values = [rng.lognormvariate(-5.0, 1.0) for _ in range(30000)]
-    sampler = LatencySampler("svc", sketch=0.01)
-    for value in values:
-        sampler.observe(value)
-    ordered = sorted(values)
-    for q in (0.5, 0.99, 0.999):
-        exact = ordered[min(len(ordered) - 1,
-                            math.ceil(q * (len(ordered) - 1)))]
-        assert sampler.percentile(q) == pytest.approx(exact, rel=0.011)
-    assert sampler.count == len(values)
-
-
-def test_latency_sampler_sketch_merge_and_mismatch():
-    from repro.sim.stats import LatencySampler
-    rng = random.Random(51)
-    values = [rng.expovariate(10.0) for _ in range(2000)]
-    whole = LatencySampler(sketch=0.01)
-    left = LatencySampler(sketch=0.01)
-    right = LatencySampler(sketch=0.01)
-    for value in values:
-        whole.observe(value)
-    for value in values[:1000]:
-        left.observe(value)
-    for value in values[1000:]:
-        right.observe(value)
-    left.merge(right)
-    assert left.percentile(0.99) == whole.percentile(0.99)
-    assert left.count == whole.count
-    plain = LatencySampler()
-    plain.observe(1.0)
-    with pytest.raises(ValueError):
-        plain.merge(whole)
-
 
 def test_latency_sampler_default_unchanged():
     from repro.sim.stats import LatencySampler
     sampler = LatencySampler()
     for value in (0.4, 0.2, 0.9):
         sampler.observe(value)
-    assert sampler._sketch is None
     assert sampler.percentile(0.5) == 0.4
