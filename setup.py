@@ -2,7 +2,7 @@
 
 The C extension (``repro.sim._eventcore``) is a pure accelerator: every
 behaviour it implements exists in pure Python (``repro.sim.eventcore``),
-and the kernel auto-selects the calendar-queue fallback when the module
+and the kernel auto-selects the ``heapq`` reference core when the module
 is absent. The build therefore must never fail on machines without a C
 toolchain — ``optional=True`` plus the error-swallowing ``build_ext``
 below turn any compile/link failure into a warning and a pure-Python
@@ -35,7 +35,7 @@ class optional_build_ext(build_ext):
         warnings.warn(
             "repro.sim._eventcore failed to compile (%s); installing "
             "without the compiled event core — the kernel will use the "
-            "pure-Python calendar backend" % (error,),
+            "pure-Python heapq backend" % (error,),
             stacklevel=2,
         )
 

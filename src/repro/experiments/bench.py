@@ -15,7 +15,7 @@ benchmark tiers:
   (:mod:`repro.sim.microbench`), measured on the active event-core
   backend (recorded in the report's ``eventcore`` field); a
   ``kernel_backends`` section adds paired same-machine A/B rates for
-  every available backend (heapq / calendar / compiled), interleaved
+  every available backend (heapq / compiled), interleaved
   round-robin so machine drift taxes each backend equally.
 * **domain** — the per-request storage path's ops/sec
   (:mod:`repro.experiments.domainbench`): geometry mapping, segmented
@@ -124,8 +124,8 @@ def measure_kernel(repeats: int = 3) -> dict:
 def measure_kernel_backends(repeats: int = 2, rounds: int = 3) -> dict:
     """Paired same-machine A/B: events/sec per event-core backend.
 
-    Backends are interleaved round-robin (heapq, calendar, compiled,
-    heapq, ...) so CPU-frequency drift during the run taxes every
+    Backends are interleaved round-robin (compiled, heapq, compiled,
+    ...) so CPU-frequency drift during the run taxes every
     backend equally; each entry keeps the best rate seen across all
     ``rounds`` (with ``repeats`` best-of inside each round). The
     backend is forced through the same ``REPRO_EVENTCORE`` environment
@@ -223,7 +223,7 @@ def _recorded_kernel(report: dict) -> dict:
     the file also carries the per-backend A/B section and the current
     environment selects a different backend — a forced
     ``REPRO_EVENTCORE`` CI leg, or a no-compiler install running on the
-    calendar fallback — comparing against the recording backend's rates
+    heapq fallback — comparing against the recording backend's rates
     would be meaningless, so ``--check`` gates against the matching
     ``kernel_backends`` entries instead.
     """

@@ -311,8 +311,8 @@ def code_fingerprint_for(point_fn: Callable) -> str:
     when the function's module has no reachable source (interactive
     definitions) — coarse, never stale.
 
-    The active event-core backend token (``compiled/<version>``,
-    ``calendar`` or ``heapq``; see :mod:`repro.sim.eventcore`) is mixed
+    The active event-core backend token (``compiled/<version>`` or
+    ``heapq``; see :mod:`repro.sim.eventcore`) is mixed
     into the returned digest: the compiled core's sources are not part
     of any Python import closure, and although the backends are pinned
     bit-identical by the equivalence suite, a cache entry must never
@@ -544,17 +544,10 @@ def _worker_init(parent_sys_path: List[str]) -> None:
     ``point_fn`` by reference would fail. Replaying the parent's
     ``sys.path`` entries (order preserved, duplicates skipped) makes
     every task pickle-clean under both start methods.
-
-    Workers also enable the sweep-wide free-list arena
-    (:func:`repro.sim.eventcore.sweep_arena`): one worker process runs
-    many points back to back, and the arena hands each point's
-    simulator the previous one's warm Timeout/Event pools.
     """
     for entry in reversed(parent_sys_path):
         if entry not in sys.path:
             sys.path.insert(0, entry)
-    from repro.sim.eventcore import sweep_arena
-    sweep_arena().enable()
 
 
 #: Scales at or below this simulated duration count as "tiny": each

@@ -25,6 +25,7 @@ from repro.experiments.executor import Point, SweepSpec, run_sweep
 from repro.node import base_topology, build_node
 from repro.obs.attribution import attribute
 from repro.sim import Simulator
+from repro.sim.stats import sorted_quantile
 from repro.units import KiB, MiB, format_size
 from repro.workload import ClientFleet, uniform_streams
 
@@ -41,14 +42,6 @@ SERIES_MEAN = "mean (ms)"
 #: Per-component mean milliseconds from the span attribution.
 SERIES_COMPONENTS = ("queue (ms)", "seek (ms)", "rotation (ms)",
                      "transfer (ms)", "staging (ms)", "other (ms)")
-
-
-def _percentile(ordered: list, q: float) -> float:
-    """Exact q-quantile of a sorted sample (0.0 when empty)."""
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
 
 
 def _point(scale: ExperimentScale, params: dict) -> dict:
@@ -88,8 +81,8 @@ def _point(scale: ExperimentScale, params: dict) -> dict:
         if root.end is not None and root.end >= boundary)
     out = {
         SERIES_FRACTION: whole_run.staged_fraction,
-        SERIES_P50: _percentile(latencies, 0.50) * 1e3,
-        SERIES_P99: _percentile(latencies, 0.99) * 1e3,
+        SERIES_P50: sorted_quantile(latencies, 0.50) * 1e3,
+        SERIES_P99: sorted_quantile(latencies, 0.99) * 1e3,
         SERIES_MEAN: report.mean_latency_ms,
     }
     for label in SERIES_COMPONENTS:

@@ -134,7 +134,7 @@ class Fabric:
     first use; ``Fabric("hostA:7070,hostB:7070")`` dials workers
     started with ``python -m repro.experiments.fabric worker --listen``.
     The connection set persists across sweeps (workers keep their warm
-    arena and local cache); ``close()`` tears everything down.
+    imports and local cache); ``close()`` tears everything down.
     """
 
     def __init__(self, spec: str, cache_root: Optional[str] = None,

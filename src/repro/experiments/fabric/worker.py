@@ -18,12 +18,6 @@ overrunning point yields NaN, and NaN results are never written to any
 cache tier. Freshly computed non-NaN values are written to the local
 store before the result goes back, so a later sweep on this host hits
 without a network round-trip.
-
-Workers enable the sweep-wide free-list arena
-(:func:`repro.sim.eventcore.sweep_arena`) at startup: pooled
-Timeout/Event objects survive across the many simulators one worker
-builds over a sweep, so every point after the first starts with warm
-free-lists instead of re-allocating its way up to ``POOL_LIMIT``.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ from repro.experiments.base import ExperimentScale
 from repro.experiments.fabric.protocol import (AUTH_ENV, FrameError,
                                                auth_proof, fabric_secret,
                                                recv_msg, send_msg)
-from repro.sim.eventcore import backend_token, sweep_arena
+from repro.sim.eventcore import backend_token
 
 _log = logging.getLogger("repro.fabric.worker")
 
@@ -234,9 +228,6 @@ def main(connect_to: Optional[str] = None,
     """Worker entry point: ``--connect`` (one session) or ``--listen``
     (serve coordinators until killed)."""
     from repro.experiments.fabric import protocol
-
-    # Warm free-lists survive across this worker's points.
-    sweep_arena().enable()
 
     if connect_to:
         sock = protocol.connect(protocol.parse_address(connect_to),

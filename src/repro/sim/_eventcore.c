@@ -2,9 +2,9 @@
  *
  * One opaque EventCore object per Simulator holding the timestamped
  * pending-event heap, the Timeout/Event free-lists and the untraced
- * dispatch loop -- the C twin of the pure-Python backends in
- * repro/sim/eventcore.py (HeapqCore is the semantic reference; the
- * equivalence suite pins all backends to bit-identical event streams).
+ * dispatch loop -- the C twin of the pure-Python HeapqCore in
+ * repro/sim/eventcore.py (the semantic reference; the equivalence
+ * suite pins both backends to bit-identical event streams).
  *
  * Design notes:
  *
@@ -976,7 +976,7 @@ static PyTypeObject EventCoreType = {
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Compiled event core: pending-event heap, free-lists and\n"
               "the untraced dispatch loop, behind the same API as the\n"
-              "pure-Python backends in repro.sim.eventcore.",
+              "pure-Python HeapqCore in repro.sim.eventcore.",
     .tp_traverse = (traverseproc)core_traverse,
     .tp_clear = (inquiry)core_clear,
     .tp_methods = core_methods,

@@ -3,8 +3,8 @@
 The kernel's hot state — the timestamped pending-event queue, the
 Timeout/Event free-lists, and the untraced dispatch loop — lives in a
 pluggable *event core* (:mod:`repro.sim.eventcore`): a compiled C
-extension when available, a pure-Python calendar queue otherwise, and
-the original ``heapq`` implementation kept verbatim as the reference.
+extension when available, otherwise the original ``heapq``
+implementation, kept verbatim as the reference.
 :class:`Simulator` owns everything else: the clock, failure propagation,
 tracing, and the ``until`` semantics of :meth:`Simulator.run`.
 
@@ -60,10 +60,9 @@ class Simulator:
     trace:
         Optional :class:`repro.sim.trace.Tracer` receiving kernel records.
     backend:
-        Event-core backend name (``"compiled"``/``"calendar"``/
-        ``"heapq"``); default is automatic selection, overridable with
-        the ``REPRO_EVENTCORE`` environment variable. See
-        :mod:`repro.sim.eventcore`.
+        Event-core backend name (``"compiled"``/``"heapq"``); default
+        is automatic selection, overridable with the ``REPRO_EVENTCORE``
+        environment variable. See :mod:`repro.sim.eventcore`.
 
     Attributes
     ----------

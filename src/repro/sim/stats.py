@@ -18,7 +18,15 @@ __all__ = [
     "LatencySampler",
     "StatsRegistry",
     "TimeWeightedGauge",
+    "sorted_quantile",
 ]
+
+
+def sorted_quantile(ordered: List[float], q: float) -> float:
+    """Nearest-rank q-quantile of an ascending sample (0.0 when empty)."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class Counter:
@@ -195,11 +203,7 @@ class LatencySampler:
         """Approximate q-quantile (q in [0, 1]), from the reservoir."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile out of range: {q}")
-        if not self._reservoir:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+        return sorted_quantile(sorted(self._reservoir), q)
 
     def merge(self, other: "LatencySampler") -> None:
         """Fold another sampler into this one (parallel-shard reduce).

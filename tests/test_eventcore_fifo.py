@@ -4,8 +4,8 @@ Two pins on :mod:`repro.sim.eventcore`:
 
 1. **Same-timestamp FIFO is permutation-safe on every backend.** The
    kernel's determinism contract is (when, push-sequence) ordering;
-   the backends implement it with three different structures (C heap,
-   calendar buckets + front buffer, heapq tuples). Mirroring
+   the backends implement it with two different structures (a C heap
+   of structs and heapq tuples). Mirroring
    ``tests/test_drive_metamorphic.py``, every arrival permutation of a
    timestamp multiset must pop back in stable-sorted order — equal
    timestamps strictly in arrival order, on every backend, both
@@ -90,7 +90,7 @@ def test_driven_same_instant_processes_run_in_spawn_order(backend):
 
 
 def test_interleaved_push_pop_keeps_global_order():
-    """Pops between pushes never disturb FIFO (calendar front refills)."""
+    """Pops between pushes never disturb FIFO."""
     for backend in BACKENDS:
         sim = Simulator(backend=backend)
         for step in range(8):
@@ -120,16 +120,20 @@ def test_env_override_selects_backend(monkeypatch, backend):
 
 
 def test_explicit_argument_beats_environment(monkeypatch):
-    monkeypatch.setenv(eventcore.ENV_VAR, "heapq")
-    assert Simulator(backend="calendar").backend == "calendar"
+    monkeypatch.setenv(eventcore.ENV_VAR, "quantum")
+    assert Simulator(backend="heapq").backend == "heapq"
 
 
 def test_unknown_backend_raises_value_error(monkeypatch):
-    with pytest.raises(ValueError, match="unknown event-core backend"):
-        Simulator(backend="quantum")
-    monkeypatch.setenv(eventcore.ENV_VAR, "quantum")
-    with pytest.raises(ValueError, match="REPRO_EVENTCORE"):
-        Simulator()
+    """Unknown names, including the retired ``calendar``, fail loudly."""
+    for name in ("quantum", "calendar"):
+        with pytest.raises(ValueError, match="unknown event-core backend"):
+            Simulator(backend=name)
+        monkeypatch.setenv(eventcore.ENV_VAR, name)
+        with pytest.raises(ValueError,
+                           match=r"pick one of compiled/heapq \(via "
+                                 r"REPRO_EVENTCORE"):
+            Simulator()
 
 
 def test_unavailable_compiled_raises_runtime_error(monkeypatch):
@@ -144,11 +148,11 @@ def test_unavailable_compiled_raises_runtime_error(monkeypatch):
         Simulator()
 
 
-def test_auto_selection_prefers_compiled_then_calendar(monkeypatch):
+def test_auto_selection_prefers_compiled_then_heapq(monkeypatch):
     monkeypatch.delenv(eventcore.ENV_VAR, raising=False)
     if compiled_available():
         assert resolve_backend(None) == "compiled"
         assert backend_token(None).startswith("compiled/")
     monkeypatch.setattr(eventcore, "_compiled", None)
-    assert resolve_backend(None) == "calendar"
-    assert backend_token(None) == "calendar"
+    assert resolve_backend(None) == "heapq"
+    assert backend_token(None) == "heapq"

@@ -209,21 +209,13 @@ def test_pool_context_env_override(monkeypatch):
 
 
 def test_worker_init_replays_parent_sys_path(monkeypatch):
-    from repro.sim.eventcore import sweep_arena
-
     fake = ["/nonexistent/extra-a", "/nonexistent/extra-b"]
     monkeypatch.setattr(sys, "path", list(sys.path))
-    try:
-        executor._worker_init(list(sys.path) + fake)
-        assert sys.path[:2] == fake  # prepended, order preserved
-        before = list(sys.path)
-        executor._worker_init(before)  # idempotent
-        assert sys.path == before
-        # The initializer also warms up the sweep arena for the worker
-        # process it normally runs in.
-        assert sweep_arena().active
-    finally:
-        sweep_arena().disable()  # don't leak the arena into this process
+    executor._worker_init(list(sys.path) + fake)
+    assert sys.path[:2] == fake  # prepended, order preserved
+    before = list(sys.path)
+    executor._worker_init(before)  # idempotent
+    assert sys.path == before
 
 
 @pytest.mark.parametrize("method", ["spawn"])

@@ -1,12 +1,12 @@
 """Backend/step equivalence and free-list (pool) correctness.
 
 The kernel's pending-event queue and untraced dispatch loop are
-pluggable (:mod:`repro.sim.eventcore`): a compiled C core, a
-pure-Python calendar queue, and the original ``heapq`` reference. Every
-backend's ``run()`` batches same-timestamp events, dispatches sole
-waiters directly and recycles provably-unreferenced events through
-free-lists; :meth:`Simulator.step` is the readable per-event reference
-with none of those fast paths. These tests pin *all available backends*
+pluggable (:mod:`repro.sim.eventcore`): a compiled C core and the
+original ``heapq`` reference. Every backend's ``run()`` batches
+same-timestamp events, dispatches sole waiters directly and recycles
+provably-unreferenced events through free-lists;
+:meth:`Simulator.step` is the readable per-event reference with none
+of those fast paths. These tests pin *all available backends*
 and ``step()`` to bit-identical observable behaviour on a workload that
 exercises every event type — Timeout, bare Event, AllOf, AnyOf, Process
 joins and interrupts — and pin the pools' safety contract: a user-held
