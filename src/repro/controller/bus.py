@@ -34,10 +34,6 @@ class SataPort:
             sim, bandwidth=bandwidth, name=name or "sata")
         self.name = name or self.pipe.name
 
-    def transfer(self, nbytes: int):
-        """Process generator moving ``nbytes`` across the port."""
-        yield from self.pipe.transfer(nbytes)
-
     @property
     def bytes_moved(self) -> int:
         """Total bytes that crossed this port."""
@@ -58,10 +54,6 @@ class HostBus:
         self.pipe = Pipe(sim, bandwidth=bandwidth,
                          per_transfer_overhead=per_transfer_overhead,
                          name=name or "hostbus")
-
-    def transfer(self, nbytes: int):
-        """Process generator moving ``nbytes`` to host memory."""
-        yield from self.pipe.transfer(nbytes)
 
     @property
     def bytes_moved(self) -> int:

@@ -9,7 +9,7 @@ from repro import obs
 from repro.controller.bus import HostBus, SataPort
 from repro.controller.cache import PrefetchCache
 from repro.disk.drive import DiskDrive
-from repro.io import IORequest, stamp_submit
+from repro.io import IOKind, IORequest, stamp_submit
 from repro.sim import Resource, Simulator
 from repro.sim.events import Event
 from repro.sim.stats import StatsRegistry
@@ -50,6 +50,211 @@ class ControllerSpec:
         from dataclasses import replace
         return replace(self, cache_bytes=cache_bytes,
                        prefetch_bytes=prefetch_bytes)
+
+
+class _ControllerRequest:
+    """One request's hop through the controller, as callbacks.
+
+    Admission (bounded queue) → controller CPU → reads: port command
+    slot → cache hit, coalesced extent fetch(es) or a direct disk read
+    → slot release → host bus; writes: cache invalidation → host bus →
+    port slot → disk. Then the completion event fires and the admission
+    entry is released, in that order.
+
+    A failed disk event releases the port slot and the admission entry,
+    then fails the controller's event with the same exception.
+    """
+
+    __slots__ = ("ctl", "request", "event", "span", "since", "slot",
+                 "extent_offset", "extent_size", "fetch_size", "fetch_span")
+
+    def __init__(self, ctl: "DiskController", request: IORequest,
+                 event: Event):
+        self.ctl = ctl
+        self.request = request
+        self.event = event
+        self.span = None
+
+    def start(self, _event: Event) -> None:
+        ctl = self.ctl
+        request = self.request
+        if ctl._obs_on:
+            self.span = ctl._obs.begin_child(request, "ctl.request", "ctl",
+                                             ctl.sim.now,
+                                             args={"disk": request.disk_id})
+            ctl._obs.link(request, self.span)
+        self.since = ctl.sim.now
+        ctl._admission.request().callbacks.append(self.admitted)
+
+    def admitted(self, _grant: Event) -> None:
+        ctl = self.ctl
+        if ctl._obs_on:
+            ctl._record_wait(self.request, self.since, "admission")
+        ctl._cpu.request().callbacks.append(self.cpu_granted)
+
+    def cpu_granted(self, _grant: Event) -> None:
+        ctl = self.ctl
+        ctl.sim.timeout(ctl.spec.request_overhead_s).callbacks.append(
+            self.cpu_done)
+
+    def cpu_done(self, _timeout: Event) -> None:
+        ctl = self.ctl
+        request = self.request
+        ctl._cpu.release()
+        if request.kind is IOKind.READ:
+            # One firmware command slot per port: a cache-hit check for
+            # a disk waits behind an in-progress fetch for that disk.
+            self._wait_slot(self.read_slot_granted)
+        else:
+            ctl.cache.invalidate(request.disk_id, request.offset,
+                                 request.size)
+            ctl.bus.pipe.transfer_then(request.size, self.write_bused)
+
+    def _wait_slot(self, then) -> None:
+        ctl = self.ctl
+        self.slot = slot = ctl._port_slots[self.request.disk_id]
+        self.since = ctl.sim.now
+        slot.request().callbacks.append(then)
+
+    # -- read path -------------------------------------------------------
+    def read_slot_granted(self, _grant: Event) -> None:
+        ctl = self.ctl
+        request = self.request
+        if ctl._obs_on:
+            ctl._record_wait(request, self.since, "port")
+        cache = ctl.cache
+        if cache.covers(request.disk_id, request.offset, request.size):
+            ctl._c_cache_hits.add(request.size)
+            if ctl._obs_on:
+                ctl._obs.instant_for(request, "ctl.cachehit", "mark",
+                                     ctl.sim.now)
+            self.read_done()
+        elif cache.enabled:
+            self.extent_offset, self.extent_size = \
+                cache.extent_of(request.offset)
+            self.next_extent()
+        else:
+            ctl.disks[request.disk_id].submit(request).callbacks.append(
+                self.disk_read_done)
+
+    def disk_read_done(self, done: Event) -> None:
+        if not done._ok:
+            self.fail(done._value)
+            return
+        self.read_done()
+
+    def next_extent(self) -> None:
+        """Fetch, in order, each aligned extent of the request that the
+        cache lacks, joining identical in-flight fetches from other
+        streams; then finish the read."""
+        ctl = self.ctl
+        request = self.request
+        cache = ctl.cache
+        end = request.offset + request.size
+        extent_offset = self.extent_offset
+        while extent_offset < end:
+            size = min(self.extent_size, ctl.capacity_bytes - extent_offset)
+            if size <= 0:
+                break
+            if not cache.peek(request.disk_id, extent_offset, size):
+                self.extent_offset = extent_offset
+                self._fetch_extent(extent_offset, size)
+                return
+            extent_offset += self.extent_size
+        self.read_done()
+
+    def extent_done(self, _joined: Event = None) -> None:
+        self.extent_offset += self.extent_size
+        self.next_extent()
+
+    def _fetch_extent(self, extent_offset: int, size: int) -> None:
+        ctl = self.ctl
+        request = self.request
+        in_flight = ctl.cache.in_flight
+        key = (request.disk_id, extent_offset)
+        pending = in_flight.get(key)
+        if pending is not None:
+            pending.callbacks.append(self.extent_done)
+            return
+        in_flight[key] = ctl.sim.event(name=ctl._extent_name)
+        self.fetch_size = size
+        self.fetch_span = None
+        extent = request.derive(extent_offset, size)
+        extent.stream_id = None
+        if ctl._obs_on:
+            # A prefetch extent serves every stream that coalesces onto
+            # it, so it roots its own trace (like the server's
+            # read-ahead fetches).
+            self.fetch_span = ctl._obs.spans.begin(
+                "ctl.fetch", "readahead", ctl.sim.now,
+                args={"disk": request.disk_id,
+                      "offset": extent_offset, "size": size})
+            ctl._obs.link(extent, self.fetch_span)
+        # Wire time is charged by the drive: hits cross its interface
+        # pipe, misses overlap the (slower) media read.
+        ctl.disks[request.disk_id].submit(extent).callbacks.append(
+            self.extent_fetched)
+
+    def extent_fetched(self, done: Event) -> None:
+        ctl = self.ctl
+        disk_id = self.request.disk_id
+        if done._ok:
+            ctl.cache.insert_extent(disk_id, self.extent_offset,
+                                    self.fetch_size)
+            ctl._c_prefetched.add(self.fetch_size)
+        if self.fetch_span is not None:
+            ctl._obs.spans.end(self.fetch_span, ctl.sim.now)
+        # Joiners resume whether or not the fetch succeeded.
+        ctl.cache.in_flight.pop((disk_id, self.extent_offset)).succeed()
+        if not done._ok:
+            self.fail(done._value)
+            return
+        self.extent_done()
+
+    def read_done(self) -> None:
+        self.slot.release()
+        self.ctl.bus.pipe.transfer_then(self.request.size, self.complete)
+
+    # -- write path ------------------------------------------------------
+    def write_bused(self) -> None:
+        self._wait_slot(self.write_slot_granted)
+
+    def write_slot_granted(self, _grant: Event) -> None:
+        ctl = self.ctl
+        request = self.request
+        if ctl._obs_on:
+            ctl._record_wait(request, self.since, "port")
+        ctl.disks[request.disk_id].submit(request).callbacks.append(
+            self.write_done)
+
+    def write_done(self, done: Event) -> None:
+        if not done._ok:
+            self.fail(done._value)
+            return
+        self.slot.release()
+        self.complete()
+
+    # -- completion --------------------------------------------------------
+    def complete(self) -> None:
+        ctl = self.ctl
+        request = self.request
+        now = ctl.sim.now
+        request.complete_time = now
+        ctl._c_completed.add(request.size)
+        ctl._l_latency.observe(request.latency)
+        if self.span is not None:
+            ctl._obs.spans.end(self.span, now)
+        self.event.succeed(request)
+        ctl._admission.release()
+
+    def fail(self, exc: BaseException) -> None:
+        """Release the port slot and admission entry, then fail."""
+        ctl = self.ctl
+        self.slot.release()
+        ctl._admission.release()
+        if self.span is not None:
+            ctl._obs.spans.end(self.span, ctl.sim.now)
+        self.event.fail(exc)
 
 
 class DiskController:
@@ -96,9 +301,12 @@ class DiskController:
             for disk_id in disks
         }
         self.stats = StatsRegistry()
-        # Precomputed per-request names: the submit/extent paths run once
-        # per simulated request, and the f-string cost was measurable.
-        self._req_name = f"{self.name}.req"
+        # Per-request metrics, resolved once (a registry probe each).
+        self._c_completed = self.stats.counter("completed")
+        self._l_latency = self.stats.latency("latency")
+        self._c_cache_hits = self.stats.counter("cache_hits")
+        self._c_prefetched = self.stats.counter("prefetched")
+        # Precomputed extent-fetch event name (one per fetch).
         self._extent_name = f"{self.name}.extent"
         # Ambient observability, captured once (boolean-guarded hooks).
         self._obs = obs.current()
@@ -111,47 +319,26 @@ class DiskController:
 
     # -- BlockDevice protocol -------------------------------------------------
     def submit(self, request: IORequest) -> Event:
-        """Route ``request`` to its disk; returns the completion event."""
+        """Route ``request`` to its disk; returns the completion event.
+
+        The request's hop is a callback chain
+        (:class:`_ControllerRequest`) started by one zero-delay event
+        pushed here.
+        """
         if request.disk_id not in self.disks:
             raise ValueError(
                 f"{request!r}: disk {request.disk_id} not on {self.name}")
-        stamp_submit(request, self.sim.now)
-        event = self.sim.event(name="ctl")
-        self.sim.process(self._handle(request, event),
-                         name=self._req_name)
+        sim = self.sim
+        stamp_submit(request, sim.now)
+        event = sim.event(name="ctl")
+        sim.timeout(0.0).callbacks.append(
+            _ControllerRequest(self, request, event).start)
         return event
 
     @property
     def queue_in_use(self) -> int:
         """Occupied queue entries (admitted, not yet completed)."""
         return self._admission.in_use
-
-    # -- request handling ---------------------------------------------------------
-    def _handle(self, request: IORequest, event: Event):
-        span = None
-        if self._obs_on:
-            span = self._obs.begin_child(request, "ctl.request", "ctl",
-                                         self.sim.now,
-                                         args={"disk": request.disk_id})
-            self._obs.link(request, span)
-        admitted_at = self.sim.now
-        grant = self._admission.request()
-        yield grant
-        self._record_wait(request, admitted_at, "admission")
-        try:
-            yield from self._charge_cpu()
-            if request.is_read:
-                yield from self._handle_read(request)
-            else:
-                yield from self._handle_write(request)
-            request.complete_time = self.sim.now
-            self.stats.counter("completed").add(request.size)
-            self.stats.latency("latency").observe(request.latency)
-            if span is not None:
-                self._obs.spans.end(span, self.sim.now)
-            event.succeed(request)
-        finally:
-            self._admission.release()
 
     def _record_wait(self, request: IORequest, since: float,
                      stage: str) -> None:
@@ -161,111 +348,18 @@ class DiskController:
         when the wait had non-zero duration, so the uncontended fast
         path emits nothing. Without this span, time spent waiting for
         the admission queue or a port command slot fell to ``other`` in
-        the latency breakdown.
+        the latency breakdown. Callers guard on ``_obs_on``.
         """
-        if self._obs_on and self.sim.now > since:
+        if self.sim.now > since:
             span = self._obs.begin_child(
                 request, "ctl.port", "ctl", since,
                 args={"disk": request.disk_id, "stage": stage})
             self._obs.spans.end(span, self.sim.now)
 
-    def _charge_cpu(self):
-        grant = self._cpu.request()
-        yield grant
-        try:
-            yield self.sim.timeout(self.spec.request_overhead_s)
-        finally:
-            self._cpu.release()
-
-    def _handle_read(self, request: IORequest):
-        # One firmware command slot per port: a cache-hit check for a
-        # disk waits behind an in-progress fetch for that disk.
-        slot = self._port_slots[request.disk_id]
-        queued_at = self.sim.now
-        grant = slot.request()
-        yield grant
-        self._record_wait(request, queued_at, "port")
-        try:
-            if self.cache.covers(request.disk_id, request.offset,
-                                 request.size):
-                self.stats.counter("cache_hits").add(request.size)
-                if self._obs_on:
-                    self._obs.instant_for(request, "ctl.cachehit", "mark",
-                                          self.sim.now)
-            elif self.cache.enabled:
-                yield from self._fetch_through_extent(request)
-            else:
-                disk_event = self.disks[request.disk_id].submit(request)
-                yield disk_event
-        finally:
-            slot.release()
-        yield from self.bus.transfer(request.size)
-
-    def _fetch_through_extent(self, request: IORequest):
-        """Fetch the aligned extent(s) covering the request, coalescing
-        with identical in-flight fetches from other streams."""
-        extent_offset, extent_size = self.cache.extent_of(request.offset)
-        end = request.offset + request.size
-        while extent_offset < end:
-            size = min(extent_size, self.capacity_bytes - extent_offset)
-            if size <= 0:
-                break
-            if not self.cache.peek(request.disk_id, extent_offset, size):
-                yield from self._fetch_extent(request, extent_offset, size)
-            extent_offset += extent_size
-
-    def _fetch_extent(self, request: IORequest, extent_offset: int,
-                      size: int):
-        key = (request.disk_id, extent_offset)
-        pending = self.cache.in_flight.get(key)
-        if pending is not None:
-            yield pending
-            return
-        done = self.sim.event(name=self._extent_name)
-        self.cache.in_flight[key] = done
-        fetch_span = None
-        try:
-            extent = request.derive(extent_offset, size)
-            extent.stream_id = None
-            if self._obs_on:
-                # A prefetch extent serves every stream that coalesces
-                # onto it, so it roots its own trace (like the server's
-                # read-ahead fetches).
-                fetch_span = self._obs.spans.begin(
-                    "ctl.fetch", "readahead", self.sim.now,
-                    args={"disk": request.disk_id,
-                          "offset": extent_offset, "size": size})
-                self._obs.link(extent, fetch_span)
-            # Wire time is charged by the drive: hits cross its interface
-            # pipe, misses overlap the (slower) media read.
-            disk_event = self.disks[request.disk_id].submit(extent)
-            yield disk_event
-            self.cache.insert_extent(request.disk_id, extent_offset, size)
-            self.stats.counter("prefetched").add(size)
-        finally:
-            if fetch_span is not None:
-                self._obs.spans.end(fetch_span, self.sim.now)
-            del self.cache.in_flight[key]
-            done.succeed()
-
-    def _handle_write(self, request: IORequest):
-        self.cache.invalidate(request.disk_id, request.offset, request.size)
-        yield from self.bus.transfer(request.size)
-        slot = self._port_slots[request.disk_id]
-        queued_at = self.sim.now
-        grant = slot.request()
-        yield grant
-        self._record_wait(request, queued_at, "port")
-        try:
-            disk_event = self.disks[request.disk_id].submit(request)
-            yield disk_event
-        finally:
-            slot.release()
-
     # -- reporting -----------------------------------------------------------------
     def throughput(self, elapsed: float) -> float:
         """Completed bytes per second over ``elapsed``."""
-        return self.stats.counter("completed").throughput(elapsed)
+        return self._c_completed.throughput(elapsed)
 
     def __repr__(self) -> str:
         return (f"<DiskController {self.name!r} disks={sorted(self.disks)} "

@@ -78,6 +78,62 @@ class _Queued:
         self.nsectors = nsectors
 
 
+class _Completion:
+    """One request's completion hop through the drive, as callbacks:
+    command overhead, the interface transfer (hits and writes), then
+    the completion event."""
+
+    __slots__ = ("drive", "request", "event", "charge_interface", "phase")
+
+    def __init__(self, drive: "DiskDrive", request: IORequest, event: Event,
+                 charge_interface: bool):
+        self.drive = drive
+        self.request = request
+        self.event = event
+        self.charge_interface = charge_interface
+        self.phase = None
+
+    def start(self, _event: Event) -> None:
+        drive = self.drive
+        sim = drive.sim
+        if drive._obs_on:
+            annotations = self.request.annotations
+            if "disk.hit" in annotations:
+                name = "disk.cachehit"
+            elif "disk.wce" in annotations:
+                name = "disk.wce"
+            else:
+                name = "disk.complete"
+            self.phase = drive._obs.begin_child(self.request, name, "disk",
+                                                sim.now)
+        sim.timeout(drive._cmd_overhead).callbacks.append(self.overhead_done)
+
+    def overhead_done(self, _timeout: Event) -> None:
+        if self.charge_interface:
+            self.drive.interface.transfer_then(self.request.size,
+                                               self.finish)
+        else:
+            self.finish()
+
+    def finish(self) -> None:
+        drive = self.drive
+        request = self.request
+        now = drive.sim.now
+        request.complete_time = now
+        drive._c_completed.add(request.size)
+        drive._l_latency.observe(request.latency)
+        if self.phase is not None:
+            drive._obs.spans.end(self.phase, now)
+            span = request.annotations.pop("obs.disk", None)
+            if span is not None:
+                drive._obs.spans.end(span, now)
+        trace = drive.config.trace
+        if trace is not None:
+            trace.emit(now, drive.name, "complete",
+                       (request.request_id, request.offset, request.size))
+        self.event.succeed(request)
+
+
 class DiskDrive:
     """A single disk drive implementing :class:`repro.io.BlockDevice`.
 
@@ -98,8 +154,8 @@ class DiskDrive:
         "interface", "stats", "_active", "_waiting", "_policy",
         "_head_cylinder", "_media_end_lba", "_worker_running", "busy_time",
         "_tail_segment", "_idle_credit", "_idle_chunk_sectors", "_dirty",
-        "_dirty_sectors", "_flush_waiters", "_hit_name", "_done_name",
-        "_wce_name", "_worker_name", "_capacity_bytes", "_cmd_overhead",
+        "_dirty_sectors", "_flush_waiters", "_worker_name",
+        "_capacity_bytes", "_cmd_overhead",
         "_cylinder_of_lba", "_c_completed", "_l_latency",
         "_c_media_read", "_c_media_write", "_c_readahead", "_c_seeks",
         "_l_seek_time", "_obs", "_obs_on",
@@ -157,12 +213,6 @@ class DiskDrive:
         self._dirty: deque[tuple[int, int]] = deque()
         self._dirty_sectors = 0
         self._flush_waiters: List[Event] = []
-        # Per-request event/process names, precomputed once: the f-string
-        # per submit/complete was measurable across millions of requests,
-        # and the request object on the event carries the identifying id.
-        self._hit_name = f"{self.name}.hit"
-        self._done_name = f"{self.name}.done"
-        self._wce_name = f"{self.name}.wce"
         self._worker_name = f"{self.name}.worker"
         # Hot-path metric objects, resolved once: StatsRegistry.counter()
         # is a dict probe + method call per update, and completions alone
@@ -230,8 +280,7 @@ class DiskDrive:
                 or (self._dirty
                     and self._dirty_covers(start_lba, nsectors))):
             request.annotations["disk.hit"] = "submit"
-            self.sim.process(self._complete(request, event),
-                             name=self._hit_name)
+            self._complete(request, event)
             # A consuming stream re-arms idle read-ahead.
             self._idle_credit = 1
             self._kick_worker()
@@ -276,8 +325,7 @@ class DiskDrive:
         self._dirty_sectors += nsectors
         request.annotations["disk.wce"] = True
         self.stats.counter("write_absorbed").add(request.size)
-        self.sim.process(self._complete(request, event),
-                         name=self._wce_name)
+        self._complete(request, event)
         self._kick_worker()
         return True
 
@@ -417,8 +465,7 @@ class DiskDrive:
         if covered == nsectors:
             # Filled (e.g. by read-ahead) while waiting in the queue.
             request.annotations["disk.hit"] = "queue"
-            sim.process(self._complete(request, event),
-                        name=self._hit_name)
+            self._complete(request, event)
             return
         missing_start = start_lba + covered
         missing = nsectors - covered
@@ -438,9 +485,7 @@ class DiskDrive:
         self._c_media_read.add(missing * SECTOR_BYTES)
         # Demand satisfied: complete to the host while read-ahead continues.
         # The interface transfer overlapped the (slower) media read.
-        sim.process(self._complete(request, event,
-                                   charge_interface=False),
-                    name=self._done_name)
+        self._complete(request, event, charge_interface=False)
         if segment is not None:
             yield from self._read_ahead(segment, request=request)
 
@@ -459,8 +504,7 @@ class DiskDrive:
             yield self.sim.timeout(transfer)
         self._advance_media(start_lba, nsectors)
         self._c_media_write.add(nsectors * SECTOR_BYTES)
-        self.sim.process(self._complete(request, event),
-                         name=self._done_name)
+        self._complete(request, event)
 
     def _position(self, target_lba: int,
                   request: Optional[IORequest] = None):
@@ -563,40 +607,18 @@ class DiskDrive:
         self._c_readahead.add(space * SECTOR_BYTES)
 
     def _complete(self, request: IORequest, event: Event,
-                  charge_interface: bool = True):
-        """Command overhead (+ interface transfer), then fire completion.
+                  charge_interface: bool = True) -> None:
+        """Start the completion hop: command overhead (+ interface
+        transfer), then fire ``event``.
 
         Misses skip the interface charge: the transfer streams off the
         platter concurrently with the media read, and the interface is
-        always faster than the media here.
+        always faster than the media here. The hop is a callback chain
+        (:class:`_Completion`) started by one zero-delay event pushed
+        here, the push a Process bootstrap would make (DESIGN.md §4).
         """
-        sim = self.sim
-        phase = None
-        if self._obs_on:
-            annotations = request.annotations
-            if "disk.hit" in annotations:
-                name = "disk.cachehit"
-            elif "disk.wce" in annotations:
-                name = "disk.wce"
-            else:
-                name = "disk.complete"
-            phase = self._obs.begin_child(request, name, "disk", sim.now)
-        yield sim.timeout(self._cmd_overhead)
-        if charge_interface:
-            yield from self.interface.transfer(request.size)
-        request.complete_time = sim.now
-        self._c_completed.add(request.size)
-        self._l_latency.observe(request.latency)
-        if phase is not None:
-            self._obs.spans.end(phase, sim.now)
-            span = request.annotations.pop("obs.disk", None)
-            if span is not None:
-                self._obs.spans.end(span, sim.now)
-        if self.config.trace is not None:
-            self.config.trace.emit(sim.now, self.name, "complete",
-                                   (request.request_id, request.offset,
-                                    request.size))
-        event.succeed(request)
+        self.sim.timeout(0.0).callbacks.append(
+            _Completion(self, request, event, charge_interface).start)
 
     # -- reporting ------------------------------------------------------------------
     def throughput(self, elapsed: float) -> float:

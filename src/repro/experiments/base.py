@@ -9,6 +9,7 @@ numbers recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -106,5 +107,13 @@ def measure(topology: NodeTopology, scale: ExperimentScale,
     specs = specs_for(node)
     fleet = ClientFleet(sim, device, specs,
                         tolerate_errors=tolerate_errors)
-    return fleet.run(duration=scale.duration, warmup=scale.warmup,
-                     settle_requests=settle_requests)
+    report = fleet.run(duration=scale.duration, warmup=scale.warmup,
+                       settle_requests=settle_requests)
+    # The point's object graph is one reference cycle (simulator → event
+    # core → pending events → callbacks → components → simulator), so
+    # only a full collection frees it. Free it now: with few GC-tracked
+    # allocations per request, the next generation-2 pass can come
+    # several points later and peak memory grows meanwhile.
+    del sim, node, device, fleet
+    gc.collect()
+    return report

@@ -51,6 +51,73 @@ class HostParams:
     memory_bytes: int = 1 * GiB
 
 
+class _NodeRequest:
+    """One request's hop through the node, as callbacks: submit CPU,
+    the controller, then completion CPU priced at the live buffer count.
+
+    A failed controller event fails the node's event with the same
+    exception (no CPU is held at that point).
+    """
+
+    __slots__ = ("node", "controller", "request", "event", "span", "cost")
+
+    def __init__(self, node: "StorageNode", controller: DiskController,
+                 request: IORequest, event: Event):
+        self.node = node
+        self.controller = controller
+        self.request = request
+        self.event = event
+        self.span = None
+
+    def start(self, _event: Event) -> None:
+        node = self.node
+        if node._obs_on:
+            self.span = node._obs.begin_child(self.request, "node.request",
+                                              "node", node.sim.now)
+            node._obs.link(self.request, self.span)
+        node._cpu.request().callbacks.append(self.submit_granted)
+
+    def submit_granted(self, _grant: Event) -> None:
+        node = self.node
+        node.sim.timeout(node.host.submit_cost_s).callbacks.append(
+            self.submitted)
+
+    def submitted(self, _timeout: Event) -> None:
+        node = self.node
+        node._cpu.release()
+        node.outstanding += 1
+        self.controller.submit(self.request).callbacks.append(
+            self.controller_done)
+
+    def controller_done(self, done: Event) -> None:
+        node = self.node
+        node.outstanding -= 1
+        if not done._ok:
+            if self.span is not None:
+                node._obs.spans.end(self.span, node.sim.now)
+            self.event.fail(done._value)
+            return
+        host = node.host
+        self.cost = (host.completion_base_s
+                     + host.completion_per_buffer_s * node.live_buffers)
+        node._cpu.request().callbacks.append(self.complete_granted)
+
+    def complete_granted(self, _grant: Event) -> None:
+        self.node.sim.timeout(self.cost).callbacks.append(self.completed)
+
+    def completed(self, _timeout: Event) -> None:
+        node = self.node
+        request = self.request
+        now = node.sim.now
+        node._cpu.release()
+        request.complete_time = now
+        node._c_completed.add(request.size)
+        node._l_latency.observe(request.latency)
+        if self.span is not None:
+            node._obs.spans.end(self.span, now)
+        self.event.succeed(request)
+
+
 class StorageNode:
     """A host with one or more controllers, as one block device.
 
@@ -86,8 +153,9 @@ class StorageNode:
         self.outstanding = 0
         self._external_buffers = 0
         self.stats = StatsRegistry()
-        # Precomputed per-request process name (hot path: one per submit).
-        self._req_name = f"{name}.req"
+        # Per-request metrics, resolved once (a registry probe each).
+        self._c_completed = self.stats.counter("completed")
+        self._l_latency = self.stats.latency("latency")
         # Ambient observability, captured once (boolean-guarded hooks).
         self._obs = obs.current()
         self._obs_on = self._obs.enabled
@@ -120,52 +188,25 @@ class StorageNode:
 
     # -- BlockDevice protocol ----------------------------------------------------
     def submit(self, request: IORequest) -> Event:
-        """Issue ``request``; completion pays the host cost model."""
+        """Issue ``request``; completion pays the host cost model.
+
+        The request's hop is a callback chain (:class:`_NodeRequest`)
+        started by one zero-delay event pushed here.
+        """
         controller = self._route.get(request.disk_id)
         if controller is None:
             raise ValueError(f"{request!r}: unknown disk {request.disk_id}")
-        stamp_submit(request, self.sim.now)
-        event = self.sim.event(name="node")
-        self.sim.process(self._handle(controller, request, event),
-                         name=self._req_name)
+        sim = self.sim
+        stamp_submit(request, sim.now)
+        event = sim.event(name="node")
+        sim.timeout(0.0).callbacks.append(
+            _NodeRequest(self, controller, request, event).start)
         return event
-
-    def _handle(self, controller: DiskController, request: IORequest,
-                event: Event):
-        span = None
-        if self._obs_on:
-            span = self._obs.begin_child(request, "node.request", "node",
-                                         self.sim.now)
-            self._obs.link(request, span)
-        yield from self._charge_cpu(self.host.submit_cost_s)
-        self.outstanding += 1
-        try:
-            yield controller.submit(request)
-        finally:
-            self.outstanding -= 1
-        completion_cost = (self.host.completion_base_s
-                           + self.host.completion_per_buffer_s
-                           * self.live_buffers)
-        yield from self._charge_cpu(completion_cost)
-        request.complete_time = self.sim.now
-        self.stats.counter("completed").add(request.size)
-        self.stats.latency("latency").observe(request.latency)
-        if span is not None:
-            self._obs.spans.end(span, self.sim.now)
-        event.succeed(request)
-
-    def _charge_cpu(self, cost: float):
-        grant = self._cpu.request()
-        yield grant
-        try:
-            yield self.sim.timeout(cost)
-        finally:
-            self._cpu.release()
 
     # -- reporting -----------------------------------------------------------------
     def throughput(self, elapsed: float) -> float:
         """Completed bytes per second over ``elapsed``."""
-        return self.stats.counter("completed").throughput(elapsed)
+        return self._c_completed.throughput(elapsed)
 
     def __repr__(self) -> str:
         return (f"<StorageNode {self.name!r} "

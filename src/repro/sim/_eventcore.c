@@ -22,10 +22,12 @@
  *
  * - drive() mirrors the Python hot loop branch for branch: batched
  *   same-timestamp drain, inlined sole-waiter resume (generator send
- *   straight from C), refcount-gated free-list recycling.  After the
- *   pop this code owns the only C reference, so Py_REFCNT(ev) == 1 is
- *   the same sole-custody proof as getrefcount(event) == 2 in Python
- *   (loop local + getrefcount argument).
+ *   straight from C), inlined sole-callback dispatch (an event with no
+ *   waiter and exactly one callback), refcount-gated free-list
+ *   recycling.  After the pop this code owns the only C reference, so
+ *   Py_REFCNT(ev) == 1 is the same sole-custody proof as
+ *   getrefcount(event) == 2 in Python (loop local + getrefcount
+ *   argument).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -403,6 +405,27 @@ dispatch_event(EventCoreObject *self, PyObject *sim, PyObject *ev)
     PyObject *callbacks = SLOT(ev, off_ev_callbacks);
     PyTypeObject *cls;
 
+    if (waiter == Py_None && PyList_CheckExact(callbacks) &&
+        PyList_GET_SIZE(callbacks) == 1) {
+        /* Sole callback: Event._process_callbacks() inlined -- state
+         * PROCESSED, a fresh callbacks list, then cb(ev). */
+        PyObject *cb = PyList_GET_ITEM(callbacks, 0);
+        PyObject *fresh = PyList_New(0);
+        PyObject *r;
+
+        if (fresh == NULL)
+            return -1;
+        Py_INCREF(cb);
+        slot_store(ev, off_ev_state, int_two);      /* Event.PROCESSED */
+        slot_store(ev, off_ev_callbacks, fresh);    /* drops the old list */
+        Py_DECREF(fresh);
+        r = PyObject_CallOneArg(cb, ev);
+        Py_DECREF(cb);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        goto recycle;
+    }
     if (waiter == Py_None || !is_falsy(callbacks)) {
         /* Reference path: Event._process_callbacks(). */
         PyObject *r = PyObject_CallMethodNoArgs(ev, s_process_callbacks);
@@ -530,6 +553,7 @@ dispatch_event(EventCoreObject *self, PyObject *sim, PyObject *ev)
     }
     Py_DECREF(waiter);
 
+recycle:
     /* Free-list recycling: exact class match first, then sole custody
      * (the caller's reference is the only one left). */
     cls = Py_TYPE(ev);

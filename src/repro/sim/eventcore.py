@@ -17,7 +17,7 @@ semantics:
     cold paths.
 
 ``heapq``
-    :class:`HeapqCore`, the original ``heapq`` kernel kept verbatim as
+    :class:`HeapqCore`, the original ``heapq`` kernel kept as
     the readable reference implementation and the fallback whenever the
     compiled core is unavailable.
 
@@ -133,13 +133,14 @@ def make_core(sim: Any, backend: Optional[str] = None) -> Any:
 
 
 class HeapqCore:
-    """Reference backend: the original ``heapq`` kernel, kept verbatim.
+    """Reference backend: the original ``heapq`` kernel.
 
     The heap holds ``(when, seq, event)`` tuples; ``seq`` is a global
     push counter that makes equal-time ordering FIFO and deterministic.
-    ``drive`` is the exact pre-backend ``Simulator.run`` hot loop
-    (same-timestamp batching, direct sole-waiter resume, refcount-gated
-    free-list recycling) operating on core-local state.
+    ``drive`` is the pre-backend ``Simulator.run`` hot loop
+    (same-timestamp batching, direct sole-waiter resume and sole-callback
+    dispatch, refcount-gated free-list recycling) operating on
+    core-local state.
     """
 
     backend = "heapq"
@@ -233,11 +234,17 @@ class HeapqCore:
     def drive(self, until: Optional[float]) -> None:
         """Dispatch events (to ``until``, inclusive); untraced runs only.
 
-        This is the pre-backend ``Simulator.run`` loop verbatim: events
-        sharing the head timestamp drain in one inner batch, the
-        single-waiter case resumes directly from the loop, and processed
-        ``Timeout``/``Event`` instances whose only reference is the
-        loop's are recycled through the free-lists.
+        This is the pre-backend ``Simulator.run`` loop: events sharing
+        the head timestamp drain in one inner batch, and the two
+        dominant waiter shapes skip ``Event._process_callbacks``:
+
+        * a sole waiter and no callbacks resumes the process directly;
+        * no sole waiter and exactly one callback runs that callback
+          directly, with ``_process_callbacks``' steps (state
+          ``PROCESSED``, a fresh ``callbacks`` list, then ``cb(event)``).
+
+        Processed ``Timeout``/``Event`` instances from either shape whose
+        only reference is the loop's are recycled through the free-lists.
         """
         sim = self.sim
         heap = self._heap
@@ -246,79 +253,53 @@ class HeapqCore:
         tpool = self.timeout_pool
         epool = self.event_pool
         limit = POOL_LIMIT
+        horizon = float("inf") if until is None else until
         # sim._failures keeps its identity until _raise_orphans swaps it
         # (and _raise_orphans is only entered when it is non-empty), so a
         # local alias is safe as long as it is re-bound after each call.
         failures = sim._failures
-        if until is None:
-            while heap:
-                when, _seq, event = pop(heap)
-                sim.now = when
-                while True:
-                    waiter = event._sole_waiter
-                    if waiter is not None and not event.callbacks:
-                        # Direct resume (inlined fast path of
-                        # Event._process_callbacks).
-                        event._sole_waiter = None
-                        event._state = 2  # Event.PROCESSED
-                        waiter._resume(event)
-                        # Inlined recycle: class test first so
-                        # non-poolable events skip the refcount call.
-                        cls = event.__class__
-                        if cls is Timeout:
-                            if getref(event) == 2 and len(tpool) < limit:
-                                # Only the loop local + getrefcount's
-                                # argument reference it: recyclable.
-                                event._value = None
-                                event._ok = True
-                                event.name = ""
-                                tpool.append(event)
-                        elif cls is Event:
-                            if getref(event) == 2 and len(epool) < limit:
-                                event._value = None
-                                event._ok = True
-                                event.name = ""
-                                epool.append(event)
-                    else:
-                        event._process_callbacks()
-                    if failures:
-                        # Checked per event, not per batch: a waiter
-                        # must be able to absorb a failure *before*
-                        # the failed process's own completion event
-                        # (same instant) clears its waiter slot.
-                        sim._raise_orphans()
-                        failures = sim._failures
-                    if heap and heap[0][0] == when:
-                        event = pop(heap)[2]
-                    else:
-                        break
-            return
-
-        while heap and heap[0][0] <= until:
+        while heap and heap[0][0] <= horizon:
             when, _seq, event = pop(heap)
             sim.now = when
             while True:
                 waiter = event._sole_waiter
-                if waiter is not None and not event.callbacks:
+                callbacks = event.callbacks
+                cls = event.__class__
+                if waiter is not None and not callbacks:
+                    # Direct resume (inlined fast path of
+                    # Event._process_callbacks).
                     event._sole_waiter = None
                     event._state = 2  # Event.PROCESSED
                     waiter._resume(event)
-                    cls = event.__class__
-                    if cls is Timeout:
-                        if getref(event) == 2 and len(tpool) < limit:
-                            event._value = None
-                            event._ok = True
-                            event.name = ""
-                            tpool.append(event)
-                    elif cls is Event:
-                        if getref(event) == 2 and len(epool) < limit:
-                            event._value = None
-                            event._ok = True
-                            event.name = ""
-                            epool.append(event)
+                elif waiter is None and len(callbacks) == 1:
+                    # Direct sole-callback dispatch.
+                    event._state = 2  # Event.PROCESSED
+                    event.callbacks = []
+                    callbacks[0](event)
                 else:
                     event._process_callbacks()
+                    cls = None  # the reference path never recycles
+                # Inlined recycle: class test first so non-poolable
+                # events skip the refcount call.
+                if cls is Timeout:
+                    if getref(event) == 2 and len(tpool) < limit:
+                        # Only the loop local + getrefcount's argument
+                        # reference it: recyclable.
+                        event._value = None
+                        event._ok = True
+                        event.name = ""
+                        tpool.append(event)
+                elif cls is Event:
+                    if getref(event) == 2 and len(epool) < limit:
+                        event._value = None
+                        event._ok = True
+                        event.name = ""
+                        epool.append(event)
                 if failures:
+                    # Checked per event, not per batch: a waiter must be
+                    # able to absorb a failure *before* the failed
+                    # process's own completion event (same instant)
+                    # clears its waiter slot.
                     sim._raise_orphans()
                     failures = sim._failures
                 if heap and heap[0][0] == when:

@@ -194,25 +194,30 @@ class Pipe:
             raise ValueError(f"negative transfer size: {nbytes}")
         return self.per_transfer_overhead + nbytes / self.bandwidth
 
+    def transfer_then(self, nbytes: int, then: Callable[[], Any]) -> None:
+        """Move ``nbytes`` through the pipe, then call ``then()``.
+
+        The callback form every simulated link uses: wait for the pipe
+        (FIFO), hold it for :meth:`transfer_time`, book the bytes, busy
+        time and transfer count, release the pipe, and only then call
+        ``then`` — so a waiter the release wakes is scheduled before
+        anything ``then`` schedules.
+        """
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size: {nbytes}")
+        self._lock.request().callbacks.append(
+            _Transfer(self, nbytes, then).granted)
+
     def transfer(self, nbytes: int):
         """Process generator: move ``nbytes`` through the pipe.
 
         Usage: ``yield from pipe.transfer(nbytes)`` or
-        ``yield sim.process(pipe.transfer(nbytes))``.
+        ``yield sim.process(pipe.transfer(nbytes))``; a thin wrapper
+        over :meth:`transfer_then`.
         """
-        grant = self._lock.request()
-        yield grant
-        try:
-            # Inlined transfer_time(): one transfer per disk request.
-            if nbytes < 0:
-                raise ValueError(f"negative transfer size: {nbytes}")
-            service = self.per_transfer_overhead + nbytes / self.bandwidth
-            yield self.sim.timeout(service)
-            self.bytes_moved += nbytes
-            self.transfers += 1
-            self.busy_time += service
-        finally:
-            self._lock.release()
+        done = self.sim.event()
+        self.transfer_then(nbytes, done.succeed)
+        yield done
 
     @property
     def utilization_to(self) -> Callable[[float], float]:
@@ -224,3 +229,28 @@ class Pipe:
     def __repr__(self) -> str:
         return (f"<Pipe {self.name!r} {self.bandwidth / 1e6:.0f} MB/s "
                 f"moved={self.bytes_moved}>")
+
+
+class _Transfer:
+    """One :meth:`Pipe.transfer_then` in flight: grant, hold, book."""
+
+    __slots__ = ("pipe", "nbytes", "service", "then")
+
+    def __init__(self, pipe: Pipe, nbytes: int, then: Callable[[], Any]):
+        self.pipe = pipe
+        self.nbytes = nbytes
+        self.then = then
+
+    def granted(self, _grant: Event) -> None:
+        pipe = self.pipe
+        self.service = service = (pipe.per_transfer_overhead
+                                  + self.nbytes / pipe.bandwidth)
+        pipe.sim.timeout(service).callbacks.append(self.done)
+
+    def done(self, _timeout: Event) -> None:
+        pipe = self.pipe
+        pipe.bytes_moved += self.nbytes
+        pipe.transfers += 1
+        pipe.busy_time += self.service
+        pipe._lock.release()
+        self.then()

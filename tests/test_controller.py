@@ -220,3 +220,94 @@ def test_controller_homogeneous_disks_required():
     disks = {0: DiskDrive(sim, small), 1: DiskDrive(sim, big)}
     with pytest.raises(ValueError):
         DiskController(sim, ControllerSpec(), disks)
+
+
+# ---------------------------------------------------------------------------
+# Failure path: a failed disk event fails the controller's event
+# ---------------------------------------------------------------------------
+
+class _FailingDrive:
+    """A stub drive whose first ``failures`` requests fail after 1 ms."""
+
+    capacity_bytes = 1 << 30
+
+    def __init__(self, sim, failures=1):
+        from repro.sim import Pipe
+
+        self.sim = sim
+        self.interface = Pipe(sim, bandwidth=150 * MiB, name="stub.sata")
+        self.failures = failures
+        self.errors = []
+
+    def submit(self, request):
+        event = self.sim.event()
+        if self.failures:
+            self.failures -= 1
+            error = IOError(f"stub failure at {request.offset}")
+            self.errors.append(error)
+            event.fail(error, delay=1e-3)
+        else:
+            event.succeed(request, delay=1e-3)
+        return event
+
+
+def _stub_controller(sim, spec=None):
+    drive = _FailingDrive(sim)
+    return DiskController(sim, spec or ControllerSpec(), {0: drive}), drive
+
+
+def _assert_released(controller):
+    assert controller.queue_in_use == 0
+    assert controller._port_slots[0].in_use == 0
+    assert controller._cpu.in_use == 0
+    assert controller.bus.pipe._lock.in_use == 0
+
+
+@pytest.mark.parametrize("kind", [IOKind.READ, IOKind.WRITE])
+def test_controller_disk_failure_fails_the_request(kind):
+    sim = Simulator()
+    controller, drive = _stub_controller(sim)
+    failed = controller.submit(
+        IORequest(kind=kind, disk_id=0, offset=0, size=64 * KiB))
+    after = controller.submit(
+        IORequest(kind=kind, disk_id=0, offset=64 * KiB, size=64 * KiB))
+    sim.run()  # no SimulationError: the failure has a home
+    assert failed.processed and not failed.ok
+    assert failed.value is drive.errors[0]
+    # Slot and admission were released: the next request completes.
+    assert after.ok
+    assert controller.stats.counter("completed").count == 1
+    _assert_released(controller)
+
+
+def test_controller_extent_fetch_failure_fails_the_request():
+    sim = Simulator()
+    spec = ControllerSpec(port_concurrency=2).with_prefetch(
+        cache_bytes=16 * MiB, prefetch_bytes=1 * MiB)
+    controller, drive = _stub_controller(sim, spec)
+    failed = controller.submit(read(0, 0, 64 * KiB))
+    joiner = controller.submit(read(0, 64 * KiB, 64 * KiB))
+    sim.run()
+    assert not failed.ok and failed.value is drive.errors[0]
+    # The stream that joined the fetch still completes (it is not told
+    # the shared fetch failed), and nothing stays in flight.
+    assert joiner.ok
+    assert not controller.cache.in_flight
+    assert controller.stats.counter("prefetched").count == 0
+    _assert_released(controller)
+
+
+def test_controller_failure_reaches_a_waiting_process():
+    sim = Simulator()
+    controller, drive = _stub_controller(sim)
+    caught = []
+
+    def client(sim):
+        try:
+            yield controller.submit(read(0, 0, 64 * KiB))
+        except IOError as error:
+            caught.append((error, sim.now))
+
+    sim.process(client(sim))
+    sim.run()
+    assert caught and caught[0][0] is drive.errors[0]

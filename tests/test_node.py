@@ -155,3 +155,45 @@ def test_node_wd800jd_medium_matches_paper_testbed():
     node = build_node(sim, medium_topology(disk_spec=WD800JD))
     assert node.num_disks == 8
     assert node.capacity_bytes == node.drive(0).capacity_bytes
+
+
+class _FailingDrive:
+    """A stub drive that fails its first request after 1 ms."""
+
+    capacity_bytes = 1 << 30
+
+    def __init__(self, sim):
+        from repro.sim import Pipe
+
+        self.sim = sim
+        self.interface = Pipe(sim, bandwidth=150 * MiB, name="stub.sata")
+        self.errors = []
+
+    def submit(self, request):
+        event = self.sim.event()
+        if not self.errors:
+            self.errors.append(IOError("stub failure"))
+            event.fail(self.errors[0], delay=1e-3)
+        else:
+            event.succeed(request, delay=1e-3)
+        return event
+
+
+def test_node_controller_failure_fails_the_request():
+    from repro.controller import ControllerSpec, DiskController
+    from repro.node import StorageNode
+
+    sim = Simulator()
+    drive = _FailingDrive(sim)
+    controller = DiskController(sim, ControllerSpec(), {0: drive})
+    node = StorageNode(sim, [controller])
+    failed = node.submit(read(0, 0, 64 * KiB))
+    after = node.submit(read(0, 64 * KiB, 64 * KiB))
+    sim.run()  # no SimulationError: the failure has a home
+    assert failed.processed and not failed.ok
+    assert failed.value is drive.errors[0]
+    assert after.ok
+    assert node.outstanding == 0
+    assert node._cpu.in_use == 0
+    assert controller.queue_in_use == 0
+    assert node.stats.counter("completed").count == 1

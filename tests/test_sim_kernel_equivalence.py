@@ -226,6 +226,130 @@ def test_run_equals_step_with_resources(backend):
     assert log_run == log_step
 
 
+# -- callback chains --------------------------------------------------------
+
+class _Hop:
+    """A request-state object whose methods are its continuation steps:
+    the shape of the node, controller and drive-completion hops."""
+
+    def __init__(self, sim, world, ident, size, log):
+        self.sim = sim
+        self.world = world
+        self.ident = ident
+        self.size = size
+        self.log = log
+        self.done = sim.event(f"hop{ident}")
+
+    def start(self, _event):
+        self.world["cpu"].request().callbacks.append(self.granted)
+
+    def granted(self, _grant):
+        self.sim.timeout(0.001 * (self.ident % 3)).callbacks.append(
+            self.computed)
+
+    def computed(self, _timeout):
+        self.world["cpu"].release()
+        if self.ident % 5 == 4:
+            # A failing lower layer: the hop fails its own event.
+            lower = self.sim.event("lower")
+            lower.fail(RuntimeError(f"lower{self.ident}"), delay=0.002)
+            lower.callbacks.append(self.lower_done)
+        else:
+            self.world["link"].transfer_then(self.size, self.moved)
+
+    def lower_done(self, lower):
+        self.log.append(("hop-lower", self.ident, lower.ok, lower.processed,
+                         self.sim.now))
+        self.done.fail(lower.value)
+
+    def moved(self):
+        self.log.append(("hop-moved", self.ident, self.sim.now))
+        self.done.succeed(self.ident)
+
+
+def _build_chain_workload(sim, log, seed=0):
+    """Callback chains beside processes: sole-callback events (grants,
+    timeouts, a failing event), events with two callbacks, a process
+    joining a chain's event, and same-instant bootstraps."""
+    from repro.sim.resources import Pipe, Resource
+
+    rng = random.Random(seed)
+    world = {"cpu": Resource(sim, capacity=2, name="cpu"),
+             "link": Pipe(sim, bandwidth=1e6, name="link")}
+    hops = []
+    for ident in range(12):
+        hop = _Hop(sim, world, ident, rng.choice([1000, 4000, 16000]), log)
+        hops.append(hop)
+        # The zero-delay bootstrap a chain uses in place of a Process.
+        sim.timeout(rng.choice([0.0, 0.0, 0.001])).callbacks.append(
+            hop.start)
+
+    def observe(event, tag):
+        log.append((tag, event.name, event.ok, event.processed,
+                    len(event.callbacks), sim.now))
+
+    for hop in hops[::3]:
+        # A second callback: the event takes the reference path.
+        hop.done.callbacks.append(lambda event: observe(event, "first"))
+        hop.done.callbacks.append(lambda event: observe(event, "second"))
+
+    def joiner(sim, hop):
+        try:
+            value = yield hop.done
+            log.append(("joined", value, sim.now))
+        except RuntimeError as error:
+            log.append(("join-failed", str(error), sim.now))
+
+    for hop in hops[1::3]:
+        sim.process(joiner(sim, hop))
+    for hop in hops[2::3]:
+        hop.done.callbacks.append(lambda event: observe(event, "sole"))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_callback_chains_identical_on_every_backend_and_step(seed):
+    """Callback chains: identical logs, clocks and sequence counters on
+    every backend's run() and under step()."""
+    results = {}
+    for backend in BACKENDS:
+        for mode in ("run", "step"):
+            log = []
+            sim = Simulator(backend=backend)
+            _build_chain_workload(sim, log, seed=seed)
+            end = sim.run() if mode == "run" else _run_with_step(sim)
+            results[backend, mode] = (log, end, sim._sequence)
+    reference = results["heapq", "step"]
+    assert reference[0], "chain workload logged nothing"
+    for key, got in results.items():
+        assert got == reference, f"{key} diverged from heapq step()"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_storage_stack_identical_under_run_and_step(backend):
+    """Node -> controller -> drive chains: run() equals step()."""
+    from repro.io import IOKind, IORequest
+    from repro.node import build_node, medium_topology
+
+    def _stack(sim, log):
+        node = build_node(sim, medium_topology(seed=3))
+        for index in range(24):
+            request = IORequest(kind=IOKind.READ, disk_id=index % 8,
+                                offset=(index // 8) * 65536, size=65536)
+            node.submit(request).callbacks.append(
+                lambda event, index=index: log.append(
+                    (index, event.value.complete_time)))
+
+    log_run, log_step = [], []
+    sim_run = Simulator(backend=backend)
+    sim_step = Simulator(backend=backend)
+    _stack(sim_run, log_run)
+    _stack(sim_step, log_step)
+    assert sim_run.run() == _run_with_step(sim_step)
+    assert len(log_run) == 24
+    assert log_run == log_step
+    assert sim_run._sequence == sim_step._sequence
+
+
 # -- pool correctness -------------------------------------------------------
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -346,3 +470,60 @@ def test_condition_events_never_enter_pools(backend):
     sim.run()
     assert all(type(event) is Timeout for event in sim._timeout_pool)
     assert all(type(event) is Event for event in sim._event_pool)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_held_callback_event_reference_never_observes_reuse(backend):
+    """A sole-callback event the user still holds is never recycled."""
+    sim = Simulator(backend=backend)
+    seen = []
+    held = sim.timeout(1.0, value="mine", name="held")
+    held.callbacks.append(lambda event: seen.append(event.value))
+    held_event = sim.event("held-event")
+    held_event.callbacks.append(lambda event: seen.append(event.value))
+    held_event.succeed("also-mine")
+    sim.run()
+    assert seen == ["also-mine", "mine"]
+
+    # Churn callback-dispatched timeouts and events through the pools.
+    def chain(remaining):
+        def step(_event):
+            if remaining:
+                sim.timeout(0.01).callbacks.append(chain(remaining - 1))
+                event = sim.event()
+                event.callbacks.append(lambda _event: None)
+                event.succeed()
+        return step
+
+    sim.timeout(0.0).callbacks.append(chain(200))
+    sim.run()
+    assert sim._timeout_pool and sim._event_pool
+    for event, value, name in ((held, "mine", "held"),
+                               (held_event, "also-mine", "held-event")):
+        assert event.processed and event.ok and event.value == value
+        assert event.name == name  # reset-on-recycle never ran on it
+        assert event not in sim._timeout_pool
+        assert event not in sim._event_pool
+    assert sim.timeout(0.5) is not held
+    assert sim.event() is not held_event
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sole_callback_events_are_recycled_clean(backend):
+    """Unheld sole-callback events return to the pools, reset."""
+    sim = Simulator(backend=backend)
+    fired = []
+
+    def step(_event):
+        fired.append(sim.now)
+        if len(fired) < 50:
+            sim.timeout(0.001).callbacks.append(step)
+
+    sim.timeout(0.0).callbacks.append(step)
+    sim.run()
+    assert len(fired) == 50
+    assert sim._timeout_pool
+    assert all(type(event) is Timeout for event in sim._timeout_pool)
+    recycled = sim.timeout(2.0)
+    assert recycled._value is None and recycled._ok and recycled.name == ""
+    assert recycled._sole_waiter is None and not recycled.callbacks
