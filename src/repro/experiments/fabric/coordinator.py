@@ -181,7 +181,7 @@ class Fabric:
         """Spawn/dial workers and complete handshakes (idempotent).
 
         Separated from :meth:`run_tasks` so callers timing throughput
-        (the ``sweep_fanout`` bench) can exclude process startup.
+        can exclude process startup.
         """
         if not self._started:
             self._selector = selectors.DefaultSelector()

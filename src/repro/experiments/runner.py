@@ -14,9 +14,8 @@ EXPERIMENTS.md. Every experiment is a sweep of independent points
 (see :mod:`repro.experiments.executor`): ``--jobs`` fans points across a
 process pool (default ``REPRO_JOBS`` or all cores) and completed points
 are memoized on disk so re-runs and ``--check`` passes are near-instant.
-``--json`` writes the machine-readable per-figure series and wall times
-consumed by ``BENCH_engine.json`` (see ``python -m
-repro.experiments.bench``).
+``--json`` writes the machine-readable per-figure series and wall
+times.
 
 ``--trace-out PATH`` runs the figures under an active ``repro.obs``
 context and writes a Chrome trace (open in Perfetto), a JSONL event log
@@ -78,8 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(~/.cache/repro-sweeps) and re-simulate")
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="also write per-figure series and wall "
-                             "times as JSON (consumed by "
-                             "BENCH_engine.json; '-' for stdout)")
+                             "times as JSON ('-' for stdout)")
     parser.add_argument("--check", action="store_true",
                         help="verify each figure's shape against the "
                              "paper's claims (exit 1 on violations)")

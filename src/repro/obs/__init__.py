@@ -23,7 +23,7 @@ module-level :data:`OBS_OFF` sentinel whose ``enabled`` flag is false,
 so every hook in the hot path reduces to one pre-computed boolean test —
 no span objects, no dict traffic, no simulator events. The default path
 is bit-identical to the uninstrumented stack (pinned by
-``tests/test_obs_overhead.py`` and the ``obs_overhead`` bench workload).
+``tests/test_obs_overhead.py``).
 
 Enabling looks like::
 

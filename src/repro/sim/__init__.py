@@ -13,8 +13,6 @@ Public surface:
   :class:`~repro.sim.resources.Pipe` — contention primitives.
 * :mod:`~repro.sim.stats` — counters, time-weighted gauges, latency samplers.
 * :mod:`~repro.sim.trace` — optional structured event tracing.
-* :mod:`~repro.sim.microbench` — kernel micro-workloads for events/sec
-  tracking (``BENCH_engine.json``).
 
 Example
 -------

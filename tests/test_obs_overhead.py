@@ -4,8 +4,7 @@ Three pins, strongest first:
 
 * **Off is the default** and every component hook reduces to a cached
   boolean — the default path runs the exact same kernel event stream as
-  before the hooks existed (``obs_overhead`` in ``bench --check`` pins
-  the wall-clock side of the same guarantee).
+  before the hooks existed.
 * **Span recording is passive**: a spans-only traced run produces
   bit-identical simulated results *and* a bit-identical kernel event
   stream — opening/closing spans never schedules events or consumes
@@ -20,7 +19,6 @@ from repro.core import ServerParams, StreamServer
 from repro.disk.drive import DiskDrive, DriveConfig
 from repro.disk.mechanics import RotationMode
 from repro.disk.specs import DISKSIM_GENERIC
-from repro.experiments.domainbench import obs_overhead, server_smoke
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
 from repro.units import KiB
@@ -103,8 +101,3 @@ def test_telemetry_on_results_equal_events_differ():
 
 def test_repeated_off_runs_are_deterministic():
     assert _run()[0] == _run()[0]
-
-
-def test_obs_overhead_workload_matches_server_smoke():
-    """The bench workload is the same deterministic run, obs off."""
-    assert obs_overhead() == server_smoke()
