@@ -241,7 +241,6 @@ class _ControllerRequest:
         now = ctl.sim.now
         request.complete_time = now
         ctl._c_completed.add(request.size)
-        ctl._l_latency.observe(request.latency)
         if self.span is not None:
             ctl._obs.spans.end(self.span, now)
         self.event.succeed(request)
@@ -303,7 +302,6 @@ class DiskController:
         self.stats = StatsRegistry()
         # Per-request metrics, resolved once (a registry probe each).
         self._c_completed = self.stats.counter("completed")
-        self._l_latency = self.stats.latency("latency")
         self._c_cache_hits = self.stats.counter("cache_hits")
         self._c_prefetched = self.stats.counter("prefetched")
         # Precomputed extent-fetch event name (one per fetch).

@@ -134,7 +134,6 @@ class StreamServer:
         self._c_direct = stats.counter("direct")
         self._c_staged_hits = stats.counter("staged_hits")
         self._c_completed = stats.counter("completed")
-        self._l_latency = stats.latency("latency")
         self._c_readahead_issued = stats.counter("readahead_issued")
         # Fault/degradation policy state (DESIGN.md §6). All counters
         # stay zero when the policies are off (the default), and the
@@ -478,7 +477,6 @@ class StreamServer:
     def _finish(self, request: IORequest, event: Event) -> None:
         request.complete_time = self.sim.now
         self._c_completed.add(request.size)
-        self._l_latency.observe(request.latency)
         if self._obs_on:
             span = request.annotations.pop("obs.phase", None)
             if span is not None:

@@ -130,7 +130,6 @@ class WriteCoalescer:
         self.stats.counter("absorbed").add(request.size)
         yield self.sim.timeout(params.ack_cost_s)
         request.complete_time = self.sim.now
-        self.stats.latency("ack_latency").observe(request.latency)
         event.succeed(request)
         if buffer.size >= params.coalesce_bytes:
             yield from self._flush(key)

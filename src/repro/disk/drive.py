@@ -121,7 +121,6 @@ class _Completion:
         now = drive.sim.now
         request.complete_time = now
         drive._c_completed.add(request.size)
-        drive._l_latency.observe(request.latency)
         if self.phase is not None:
             drive._obs.spans.end(self.phase, now)
             span = request.annotations.pop("obs.disk", None)
@@ -156,9 +155,9 @@ class DiskDrive:
         "_tail_segment", "_idle_credit", "_idle_chunk_sectors", "_dirty",
         "_dirty_sectors", "_flush_waiters", "_worker_name",
         "_capacity_bytes", "_cmd_overhead",
-        "_cylinder_of_lba", "_c_completed", "_l_latency",
+        "_cylinder_of_lba", "_c_completed",
         "_c_media_read", "_c_media_write", "_c_readahead", "_c_seeks",
-        "_l_seek_time", "_obs", "_obs_on",
+        "_obs", "_obs_on",
     )
 
     def __init__(self, sim: Simulator, spec: DiskSpec,
@@ -223,12 +222,10 @@ class DiskDrive:
         self._cylinder_of_lba = self.geometry.cylinder_of_lba
         stats = self.stats
         self._c_completed = stats.counter("completed")
-        self._l_latency = stats.latency("latency")
         self._c_media_read = stats.counter("media_read")
         self._c_media_write = stats.counter("media_write")
         self._c_readahead = stats.counter("readahead")
         self._c_seeks = stats.counter("seeks")
-        self._l_seek_time = stats.latency("seek_time")
         # Ambient observability, captured once; every hook below guards
         # on the cached boolean so the default path is unchanged.
         self._obs = obs.current()
@@ -525,7 +522,6 @@ class DiskDrive:
         distance = abs(target_cylinder - self._head_cylinder)
         seek = mechanics.seek_model.seek_time(distance)
         self._c_seeks.add()
-        self._l_seek_time.observe(seek)
         traced = self._obs_on and request is not None
         if seek > 0:
             if traced:

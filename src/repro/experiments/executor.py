@@ -6,13 +6,14 @@ deterministic measurement points plus a reduction into an
 ``fig*.py`` module looped over its points serially in-process; this
 module factors the loop out so that every figure gets, for free:
 
-* **Fan-out** — points run across a ``multiprocessing`` worker pool
-  (``--jobs N`` / ``REPRO_JOBS``, default ``os.cpu_count()``). Points
-  are independent simulations, so parallel and serial execution produce
+* **Fan-out** — with ``--jobs N`` / ``REPRO_JOBS`` (default
+  ``os.cpu_count()``) above 1, points run on the sweep fabric's ``N``
+  locally spawned worker processes (:mod:`repro.experiments.fabric`),
+  started once per process and reused by every sweep; ``--workers`` /
+  ``REPRO_FABRIC`` send them to remote workers instead. Points are
+  independent simulations, so parallel and serial execution produce
   *byte-identical* series (asserted by
-  ``tests/test_executor_determinism.py``). Tasks are pickle-clean, so
-  the pool works under both ``fork`` and ``spawn`` start methods
-  (``REPRO_MP_START`` forces one).
+  ``tests/test_executor_determinism.py``).
 * **Memoization** — completed points are cached on disk under
   ``~/.cache/repro-sweeps/`` (override with ``REPRO_SWEEP_CACHE``;
   disable with ``--no-cache`` / ``REPRO_NO_CACHE=1``). Keys hash the
@@ -24,11 +25,12 @@ module factors the loop out so that every figure gets, for free:
 * **Deduplication** — points with identical cache keys inside one sweep
   (e.g. Figure 13 embedding Figure 12's R=512K baseline) simulate once.
 
-A point function must be a *top-level* callable (picklable by
-reference) with the signature ``point_fn(scale, params: dict) -> float |
-dict[str, float]``. A plain float lands in the point's declared series;
-a dict fans one simulation out into several series (used by the
-extension experiments that report multiple metrics per run).
+A point function must be a *top-level* callable in an importable module
+(workers look it up by ``module:qualname``) with the signature
+``point_fn(scale, params: dict) -> float | dict[str, float]``. A plain
+float lands in the point's declared series; a dict fans one simulation
+out into several series (used by the extension experiments that report
+multiple metrics per run).
 """
 
 from __future__ import annotations
@@ -41,10 +43,8 @@ import logging
 import math
 import os
 import signal
-import sys
 import tempfile
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, \
@@ -56,7 +56,6 @@ from repro.sim.eventcore import backend_token, resolve_backend
 
 __all__ = [
     "FABRIC_MIN_POINTS",
-    "FABRIC_OFF",
     "Point",
     "PointTimeoutError",
     "SweepSpec",
@@ -65,6 +64,8 @@ __all__ = [
     "code_fingerprint_for",
     "import_closure",
     "point_key",
+    "remote_spec",
+    "resolve_fabric",
     "resolve_jobs",
     "run_sweep",
     "set_default_fabric",
@@ -425,9 +426,10 @@ class SweepCache:
         """Persist ``value`` atomically against concurrent readers
         *and* writers on the same root.
 
-        The cache root is shared property: pool workers, fabric workers
-        on other hosts (via a network filesystem) and the coordinator
-        all write it concurrently. Three ingredients make that safe:
+        The cache root is shared property: concurrent sweeps, fabric
+        workers on other hosts (via a network filesystem) and the
+        coordinator all write it concurrently. Three ingredients make
+        that safe:
 
         * a **per-writer temp name** (random suffix + pid in the
           prefix), so two writers of the same key never clobber each
@@ -495,7 +497,8 @@ def _point_timeout_s() -> float:
 
 
 def _invoke(task: Tuple[Callable, ExperimentScale, dict]) -> PointValue:
-    """Worker entry point (top-level so it pickles by reference).
+    """Compute one ``(point_fn, scale, params)`` task, here or on a
+    fabric worker.
 
     Honours ``REPRO_POINT_TIMEOUT``: a point that overruns is aborted
     via ``SIGALRM`` and yields ``NaN`` (which ``run_sweep`` refuses to
@@ -534,113 +537,46 @@ def _contains_nan(value: PointValue) -> bool:
     return isinstance(value, float) and math.isnan(value)
 
 
-def _worker_init(parent_sys_path: List[str]) -> None:
-    """Pool initializer: make the parent's imports resolvable.
-
-    Fork workers inherit the parent interpreter wholesale, but spawn
-    workers start from a fresh interpreter whose ``sys.path`` only
-    reflects the environment — any path the parent added at runtime
-    (editable checkouts, test harness roots) is missing, so unpickling
-    ``point_fn`` by reference would fail. Replaying the parent's
-    ``sys.path`` entries (order preserved, duplicates skipped) makes
-    every task pickle-clean under both start methods.
-    """
-    for entry in reversed(parent_sys_path):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
-
-
-#: Scales at or below this simulated duration count as "tiny": each
-#: point finishes in well under a second of wall time, so pool IPC
-#: round-trips are a visible fraction of the sweep.
-_TINY_SCALE_DURATION = 1.5
-#: Upper bound on batching — small enough that the tail of a sweep
-#: still spreads across workers.
-_MAX_CHUNKSIZE = 8
-
-
-def _chunksize(scale: ExperimentScale, ntasks: int, workers: int) -> int:
-    """Batch size for ``pool.map`` over ``ntasks`` points.
-
-    SMOKE-scale points simulate ~1 second each and return in tens of
-    milliseconds, so shipping them one at a time makes the pool's IPC a
-    measurable overhead: batch them so each worker gets a few points per
-    round-trip (aiming for ~4 chunks per worker to keep the load
-    balanced). Full-scale points run for seconds each — there the
-    head-of-line risk of batching outweighs the IPC saving, so they keep
-    ``chunksize=1``. Ordering and results are unaffected either way
-    (``pool.map`` preserves order); only message framing changes.
-    """
-    if scale.duration > _TINY_SCALE_DURATION:
-        return 1
-    return max(1, min(_MAX_CHUNKSIZE, ntasks // (workers * 4)))
-
-
-def _pool_context():
-    """Worker start method: ``REPRO_MP_START`` > fork > platform default.
-
-    Fork is preferred where available (cheap, inherits the imported
-    package); the pool is nonetheless pickle-clean, so forcing
-    ``REPRO_MP_START=spawn`` (or running on a platform without fork)
-    produces byte-identical sweeps — asserted by
-    ``tests/test_executor_determinism.py``.
-    """
-    import multiprocessing
-    method = os.environ.get("REPRO_MP_START", "").strip()
-    if method:
-        return multiprocessing.get_context(method)
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return multiprocessing.get_context()
-
-
 # -- fabric ----------------------------------------------------------------
 #
-# The distributed alternative to the local pool: run_sweep(fabric=...)
-# ships pending points to a coordinator/worker fabric
-# (repro.experiments.fabric) instead of a ProcessPoolExecutor. The
-# fabric shares the same content-addressed cache keys, so its workers'
-# local caches, the coordinator's store and this process's store are
-# one coherent cache. Resolution order: explicit argument >
-# set_default_fabric() (the runner's --workers) > REPRO_FABRIC.
+# Parallel points run on the sweep fabric (repro.experiments.fabric): a
+# coordinator in this process pushes tasks to worker processes and
+# collects their values. A sweep uses, in order: an explicit fabric
+# argument, set_default_fabric() (the runner's --workers), REPRO_FABRIC
+# (both address lists of remote workers), and otherwise, for jobs > 1,
+# one shared fabric of that many locally spawned workers.
 
-#: Sentinel/spec value that disables the fabric even when REPRO_FABRIC
-#: is set (used by traced runs, whose spans must stay in-process).
-FABRIC_OFF = "off"
-
-#: Mixed-mode floor: a sweep with fewer than this many *pending* points
-#: skips a resolved fabric and runs on the in-process pool instead.
-#: Shipping a point costs a network round-trip plus (first use) worker
-#: spawn/handshake, which dwarfs a 2-point residual sweep after a warm
-#: cache; big fan-outs still go distributed. Override with
-#: ``REPRO_FABRIC_MIN_POINTS`` (0 = always use the fabric).
+#: Sweeps with fewer pending points run in-process: shipping a point
+#: costs a round-trip plus (first use) worker spawn and handshake, which
+#: dwarfs a 2-point residual sweep after a warm cache.
 FABRIC_MIN_POINTS = 4
 
-
-def _fabric_min_points() -> int:
-    """The mixed-mode floor, honouring ``REPRO_FABRIC_MIN_POINTS``."""
-    raw = os.environ.get("REPRO_FABRIC_MIN_POINTS", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            _log.warning("ignoring non-integer REPRO_FABRIC_MIN_POINTS"
-                         "=%r", raw)
-    return FABRIC_MIN_POINTS
-
 _DEFAULT_FABRIC: Optional[Any] = None
-#: spec string -> started Fabric, shared across sweeps and closed at exit.
+#: spec string -> Fabric, shared across sweeps and closed at exit.
 _FABRICS: Dict[str, Any] = {}
 
 
 def set_default_fabric(fabric: Optional[Any]) -> Optional[Any]:
-    """Install a process-wide default fabric (spec string, Fabric
-    instance, or :data:`FABRIC_OFF`); returns the previous default."""
+    """Install a process-wide default fabric (address list or Fabric
+    instance); returns the previous default."""
     global _DEFAULT_FABRIC
     previous = _DEFAULT_FABRIC
     _DEFAULT_FABRIC = fabric
     return previous
+
+
+def remote_spec(text: str) -> str:
+    """Check a ``--workers`` / ``REPRO_FABRIC`` value: an address list.
+
+    A bare worker count is refused: local workers come from ``--jobs``.
+    """
+    text = text.strip()
+    if text.isdigit():
+        raise ValueError(
+            f"fabric spec {text!r} is a worker count; local workers come "
+            f"from --jobs {text} (REPRO_JOBS), and --workers/REPRO_FABRIC "
+            f"take a host:port list")
+    return text
 
 
 def _fabric_for_spec(spec: str) -> Any:
@@ -654,17 +590,50 @@ def _fabric_for_spec(spec: str) -> Any:
     return fabric
 
 
-def _resolve_fabric(fabric: Optional[Any]) -> Optional[Any]:
-    """Resolve run_sweep's ``fabric`` argument to a Fabric or None."""
+def resolve_fabric(fabric: Optional[Any] = None,
+                   jobs: int = 1) -> Optional[Any]:
+    """The fabric a sweep of at least :data:`FABRIC_MIN_POINTS` pending
+    points runs on, or None for the in-process loop."""
     if fabric is None:
         fabric = _DEFAULT_FABRIC
     if fabric is None:
         fabric = os.environ.get("REPRO_FABRIC", "").strip() or None
-    if fabric is None or fabric == FABRIC_OFF or fabric == "":
-        return None
     if isinstance(fabric, str):
-        return _fabric_for_spec(fabric)
+        return _fabric_for_spec(remote_spec(fabric))
+    if fabric is None and jobs > 1:
+        return _fabric_for_spec(str(jobs))
     return fabric
+
+
+def _run_on_fabric(fabric: Any, tasks: List[tuple], keys: List[str],
+                   use_cache: bool) -> Optional[List[PointValue]]:
+    """Run ``tasks`` on ``fabric``; None when it fails (run in-process).
+
+    With an ambient obs context active every point runs traced: workers
+    record spans and telemetry locally and ship them back with their
+    results, and ``run_tasks`` merges them into this context
+    worker-tagged (DESIGN.md §10).
+    """
+    from repro import obs
+    from repro.experiments.fabric import FabricError
+    context = obs.current()
+    trace_config = None
+    if getattr(context, "enabled", False):
+        recorder = context.spans
+        trace_config = {
+            "span_capacity": recorder.capacity,
+            "span_reserved": recorder.reserved,
+            "telemetry_interval": context.telemetry_interval,
+            "telemetry_capacity": context.telemetry_capacity,
+        }
+    try:
+        return fabric.run_tasks(
+            tasks, keys=keys, use_cache=use_cache, trace=trace_config,
+            obs_context=context if trace_config else None)
+    except FabricError as exc:
+        _log.warning("sweep fabric failed (%s); recomputing %d point(s) "
+                     "in-process", exc, len(tasks))
+        return None
 
 
 def build_result(spec: SweepSpec,
@@ -698,29 +667,22 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale,
               fabric: Optional[Any] = None) -> ExperimentResult:
     """Execute a sweep: cache lookup → fan-out → write-back → reduce.
 
-    ``jobs=1`` (or a single pending point) runs in-process with no pool
-    overhead; that path is the reference the determinism test compares
-    the pool against. ``cache=False`` or ``REPRO_NO_CACHE=1`` skips the
-    on-disk cache but still deduplicates identical points in-sweep.
-
-    ``fabric`` (or the runner's ``--workers`` default, or
-    ``REPRO_FABRIC``) routes pending points to a distributed
-    coordinator/worker fabric instead of the local pool — a spec string
-    (``"4"`` for local spawns, ``"hostA:7070,hostB:7070"`` for remote
-    workers) or a started :class:`repro.experiments.fabric.Fabric`.
-    Points are pure, so fabric and pool runs are byte-identical; any
-    fabric failure falls back to local execution, like a broken pool.
-    Dispatch is **mixed-mode**: sweeps whose pending-point count is
-    below :data:`FABRIC_MIN_POINTS` (override:
-    ``REPRO_FABRIC_MIN_POINTS``) stay on the in-process pool even with
-    a fabric configured — a near-fully-cached figure's one residual
-    point is cheaper to simulate than to ship.
+    Pending points run on the fabric :func:`resolve_fabric` picks:
+    ``fabric`` (a :class:`repro.experiments.fabric.Fabric` or a
+    ``"hostA:7070,hostB:7070"`` address list), else the runner's
+    ``--workers`` default, else ``REPRO_FABRIC``, else — for ``jobs`` >
+    1 — a shared fabric of ``jobs`` locally spawned workers. Sweeps with
+    fewer than :data:`FABRIC_MIN_POINTS` pending points, ``jobs=1``
+    runs and any fabric failure run in-process; that loop is the
+    reference the determinism tests compare the fabric against. Points
+    are pure, so every route gives the same bits. ``cache=False`` or
+    ``REPRO_NO_CACHE=1`` skips the on-disk cache but still deduplicates
+    identical points in-sweep.
     """
     global _SIMULATED_POINTS
     points = spec.points
     use_cache = cache and not os.environ.get("REPRO_NO_CACHE")
     store = SweepCache(cache_root) if use_cache else None
-    fabric = _resolve_fabric(fabric)
 
     fns = [p.fn or spec.point_fn for p in points]
     keys = [point_key(fn, scale, p.params)
@@ -746,76 +708,17 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale,
                   dict(points[pending[key][0]].params)) for key in order]
         _SIMULATED_POINTS += len(tasks)
         computed = None
-        if fabric is not None and len(tasks) < _fabric_min_points():
-            # Mixed mode: the distributed path only pays off at fan-out
-            # scale, and the choice cannot change output bits (points
-            # are pure and both paths share the cache keys).
-            _log.debug("sweep %s: %d pending point(s) below the fabric "
-                       "floor (%d); running in-process",
-                       spec.experiment_id, len(tasks),
-                       _fabric_min_points())
-            fabric = None
-        if fabric is not None:
-            from repro.experiments.fabric import FabricError
-            # With an ambient obs context active, the fabric runs every
-            # point traced: workers record spans/telemetry locally and
-            # ship them back with their results, and run_tasks merges
-            # the payloads into this context worker-tagged (DESIGN.md
-            # §10) — so a distributed traced run yields one coherent
-            # trace instead of N invisible ones. Tracing forces the
-            # shared cache off (a hit would skip the simulation that
-            # produces the spans); the runner's --trace-out path
-            # already disables the local cache for the same reason.
-            from repro import obs as _obs
-            context = _obs.current()
-            trace_config = None
-            if getattr(context, "enabled", False):
-                recorder = context.spans
-                trace_config = {
-                    "span_capacity": recorder.capacity,
-                    "span_reserved": recorder.reserved,
-                    "telemetry_interval": context.telemetry_interval,
-                    "telemetry_capacity": context.telemetry_capacity,
-                }
-            try:
-                computed = fabric.run_tasks(
-                    tasks, keys=order,
-                    use_cache=(store is not None
-                               and trace_config is None),
-                    trace=trace_config,
-                    obs_context=context if trace_config else None)
-            except FabricError as exc:
-                _log.warning(
-                    "sweep fabric failed (%s); recomputing %d point(s) "
-                    "locally", exc, len(tasks))
-                computed = None
+        if len(tasks) >= FABRIC_MIN_POINTS:
+            target = resolve_fabric(fabric, resolve_jobs(jobs))
+            if target is not None:
+                # Spawned workers share this host's disk, which the
+                # lookup above already searched; only dialed workers
+                # keep caches of their own.
+                computed = _run_on_fabric(
+                    target, tasks, order,
+                    use_cache=store is not None and not target.spec.spawn)
         if computed is None:
-            workers = min(resolve_jobs(jobs), len(tasks))
-            if workers <= 1:
-                computed = [_invoke(task) for task in tasks]
-            else:
-                try:
-                    with ProcessPoolExecutor(
-                            max_workers=workers,
-                            mp_context=_pool_context(),
-                            initializer=_worker_init,
-                            initargs=(list(sys.path),)) as pool:
-                        computed = list(pool.map(
-                            _invoke, tasks,
-                            chunksize=_chunksize(scale, len(tasks),
-                                                 workers)))
-                except Exception as exc:
-                    # A worker died (OOM-kill, segfault in an
-                    # extension, hard crash) or the pool broke some
-                    # other way. The points themselves are
-                    # deterministic pure functions, so recompute the
-                    # whole batch serially in-process rather than
-                    # aborting the sweep.
-                    _log.warning(
-                        "sweep worker pool failed (%s: %s); recomputing "
-                        "%d point(s) serially",
-                        type(exc).__name__, exc, len(tasks))
-                    computed = [_invoke(task) for task in tasks]
+            computed = [_invoke(task) for task in tasks]
         for key, value in zip(order, computed):
             for index in pending[key]:
                 values[index] = value

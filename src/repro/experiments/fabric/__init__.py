@@ -1,25 +1,26 @@
 """Distributed sweep fabric: a work queue + shared cache for sweeps.
 
-``repro.experiments.fabric`` turns the sweep executor's single-host
-process pool into a coordinator/worker fabric (push-based dispatch in
-the spirit of arXiv 1905.07113): a coordinator serializes
+``repro.experiments.fabric`` is how the sweep executor runs points in
+parallel, on one host or several: a coordinator/worker fabric
+(push-based dispatch in the spirit of arXiv 1905.07113). A coordinator
+serializes
 ``(point_fn, scale, params)`` tasks onto a length-prefixed TCP or
 Unix-socket work queue; N worker processes — spawned locally or
 listening on remote hosts — pull points, consult/populate the shared
 content-addressed :class:`~repro.experiments.executor.SweepCache`
 (worker-local disk first, then a ``cache_get`` round-trip to the
 coordinator's store), and stream ``(key, value)`` results back.
-Dispatch is straggler-aware: slow points are hedged onto idle workers
-and the first result wins (see
+Dispatch to dialed workers is straggler-aware: slow points are hedged
+onto idle workers and the first result wins (see
 :mod:`repro.experiments.fabric.coordinator` for the policy and the
 determinism argument).
 
 Entry points:
 
-* ``run_sweep(..., fabric=...)`` / ``REPRO_FABRIC`` — every figure can
-  run its points over a fabric instead of the local pool;
-* ``python -m repro.experiments.runner --workers 4`` (or
-  ``--workers hostA:7070,hostB:7070``) — the CLI wiring;
+* ``run_sweep(..., jobs=4)`` — a shared fabric of four spawned local
+  workers (``runner --jobs 4``);
+* ``run_sweep(..., fabric=...)`` / ``REPRO_FABRIC`` / ``runner
+  --workers hostA:7070,hostB:7070`` — remote workers;
 * ``python -m repro.experiments.fabric worker --listen 0.0.0.0:7070``
   — a remote worker; ``--connect`` is used by spawned local workers.
 """

@@ -19,7 +19,11 @@ Dispatch policy (the straggler-aware part, after arXiv 1805.06156):
   worker id, so scheduling is reproducible given identical timings);
 * when the queue is empty but workers are idle, the oldest in-flight
   task whose age exceeds ``max(hedge_min_s, hedge_k x median)`` is
-  **hedged** — re-dispatched to an idle worker, at most two copies;
+  **hedged** — re-dispatched to an idle worker, at most two copies.
+  Only dialed workers hedge by default: spawned workers are copies of
+  one interpreter on one host, so there a long task is a long point,
+  not a slow worker, and its copy would only hold a worker into the
+  next sweep (DESIGN.md §8);
 * **first result wins**: a task's first arriving value is recorded and
   later duplicates are discarded. Point functions are pure and
   deterministic (the executor's core contract, pinned by the
@@ -32,9 +36,10 @@ Dispatch policy (the straggler-aware part, after arXiv 1805.06156):
 Failure handling: a worker EOF re-queues its in-flight assignments
 (bounded by ``MAX_REQUEUES`` per task, so a point that *kills* workers
 cannot loop forever); a worker ``error`` reply — the point function
-raised — aborts the run with :class:`FabricError`, mirroring the pool
-path where a raising point surfaces to the caller. ``run_sweep`` treats
-any :class:`FabricError` like a broken pool: recompute locally.
+raised — aborts the run with :class:`FabricError`, mirroring the
+in-process loop, where a raising point surfaces to the caller.
+``run_sweep`` answers any :class:`FabricError` by recomputing the
+sweep in-process.
 
 Telemetry: per-worker queue depth, completion/hedge/cache counters and
 the coordinator's pending depth are recorded into
@@ -78,6 +83,11 @@ MAX_REQUEUES = 3
 
 #: Completed compute latencies kept for the running median.
 _LATENCY_WINDOW = 64
+
+#: Straggler threshold ``max(_HEDGE_MIN_S, _HEDGE_K x median)`` of a
+#: hedging fabric.
+_HEDGE_K = 3.0
+_HEDGE_MIN_S = 1.0
 
 #: Handshake budget for spawned/dialed workers.
 _HELLO_TIMEOUT_S = 30.0
@@ -135,16 +145,23 @@ class Fabric:
     started with ``python -m repro.experiments.fabric worker --listen``.
     The connection set persists across sweeps (workers keep their warm
     imports and local cache); ``close()`` tears everything down.
+
+    Dialed workers hedge stragglers; spawned ones do not unless
+    ``hedge_k`` or ``hedge_min_s`` is given.
     """
 
     def __init__(self, spec: str, cache_root: Optional[str] = None,
-                 hedge_k: float = 3.0, hedge_min_s: float = 1.0,
+                 hedge_k: Optional[float] = None,
+                 hedge_min_s: Optional[float] = None,
                  worker_env: Optional[Dict[str, str]] = None,
                  secret: Optional[str] = None):
         self.spec: WorkerSpec = parse_spec(spec)
         self.spec_text = spec
-        self.hedge_k = hedge_k
-        self.hedge_min_s = hedge_min_s
+        self.hedging = not self.spec.spawn or hedge_k is not None \
+            or hedge_min_s is not None
+        self.hedge_k = _HEDGE_K if hedge_k is None else hedge_k
+        self.hedge_min_s = _HEDGE_MIN_S if hedge_min_s is None \
+            else hedge_min_s
         self._cache_root = cache_root
         self._worker_env = dict(worker_env or {})
         #: Shared auth secret: explicit argument wins, else the
@@ -260,9 +277,8 @@ class Fabric:
     def _spawn_worker(self) -> subprocess.Popen:
         """Start one local worker process pointed at our listener."""
         env = dict(os.environ)
-        # Replay the parent's sys.path (same trick as the pool's
-        # _worker_init): point functions must resolve by reference in a
-        # fresh interpreter too.
+        # Replay the parent's sys.path: point functions must resolve by
+        # reference in a fresh interpreter too.
         env["PYTHONPATH"] = os.pathsep.join(
             entry for entry in sys.path if entry)
         env.update(self._worker_env)
@@ -670,6 +686,8 @@ class _RunState:
 
     def _maybe_hedge(self) -> None:
         fabric = self.fabric
+        if not fabric.hedging:
+            return
         idle = sorted((w for w in fabric._workers.values() if w.idle),
                       key=lambda w: (w.ewma_s, w.ident))
         if not idle:

@@ -62,9 +62,10 @@ there is no interleaving to disambiguate.
 
 Worker addresses (``parse_spec``): a bare integer ``"4"`` asks the
 coordinator to spawn that many local worker processes over a private
-socket; a comma list ``"hostA:7070,hostB:7070"`` (or Unix-socket paths)
-dials out to workers started with ``python -m repro.experiments.fabric
-worker --listen ADDR``.
+socket (the executor's ``--jobs 4`` fabric); a comma list
+``"hostA:7070,hostB:7070"`` (or Unix-socket paths) dials out to workers
+started with ``python -m repro.experiments.fabric worker --listen
+ADDR``.
 
 Authentication (:func:`auth_proof`): when both sides export
 ``REPRO_FABRIC_SECRET`` the hello is followed by a
@@ -273,7 +274,7 @@ def connect(address: Address, timeout: Optional[float] = None) \
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Parsed ``--workers`` / ``REPRO_FABRIC`` value.
+    """Parsed fabric spec: ``Fabric("4")`` or an address list.
 
     Exactly one of ``spawn`` (local worker count) or ``addresses``
     (remote endpoints to dial) is set.

@@ -13,7 +13,7 @@ loop is the strictly alternating half of the protocol (see
 3. answer with ``result`` (or ``error`` if the point function raised).
 
 Points are computed through :func:`repro.experiments.executor._invoke`,
-so ``REPRO_POINT_TIMEOUT`` means exactly what it means in the pool: an
+so ``REPRO_POINT_TIMEOUT`` means exactly what it means in-process: an
 overrunning point yields NaN, and NaN results are never written to any
 cache tier. Freshly computed non-NaN values are written to the local
 store before the result goes back, so a later sweep on this host hits
@@ -45,9 +45,7 @@ def resolve_point_fn(spec: str):
     """Import ``"module:qualname"`` back into the callable it names.
 
     The inverse of the coordinator's serialization. Mirrors pickle's
-    by-reference lookup (the pool's transport), so exactly the point
-    functions that work with ``--jobs`` work with the fabric: top-level
-    callables in importable modules.
+    by-reference lookup: top-level callables in importable modules.
     """
     module_name, sep, qualname = spec.partition(":")
     if not sep:

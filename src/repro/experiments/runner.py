@@ -11,34 +11,29 @@ Usage::
 
 Prints each figure's series as an ASCII table; this is what populated
 EXPERIMENTS.md. Every experiment is a sweep of independent points
-(see :mod:`repro.experiments.executor`): ``--jobs`` fans points across a
-process pool (default ``REPRO_JOBS`` or all cores) and completed points
-are memoized on disk so re-runs and ``--check`` passes are near-instant.
-``--json`` writes the machine-readable per-figure series and wall
-times.
+(see :mod:`repro.experiments.executor`): ``--jobs N`` (default
+``REPRO_JOBS`` or all cores) runs them on N local worker processes of
+the sweep fabric (:mod:`repro.experiments.fabric`), ``--jobs 1`` in
+this process, and completed points are memoized on disk so re-runs and
+``--check`` passes are near-instant. ``--json`` writes the
+machine-readable per-figure series and wall times.
+
+``--workers host:port,...`` (or ``REPRO_FABRIC``) sends the points to
+long-lived remote workers instead. ``--fabric-trace PATH`` writes the
+coordinator's per-worker telemetry (queue depth, hedges, cache hits) as
+a JSONL log that ``python -m repro.obs.report`` renders.
 
 ``--trace-out PATH`` runs the figures under an active ``repro.obs``
 context and writes a Chrome trace (open in Perfetto), a JSONL event log
 (``PATH.jsonl``, input of ``python -m repro.obs.report``), and — when
 ``--telemetry SECS`` enables the time-series sampler — a Prometheus
-text dump (``PATH.prom``). Tracing forces ``--jobs 1`` and disables the
-sweep cache: spans live in this process, and a cache hit would skip the
-simulation that produces them.
-
-``--workers SPEC`` dispatches sweep points over the distributed fabric
-(:mod:`repro.experiments.fabric`) instead of the local process pool: an
-integer spawns that many local worker processes, a comma-separated
-``host:port`` list dials long-lived remote workers. ``--fabric-trace
-PATH`` additionally writes the coordinator's per-worker telemetry
-(queue depth, hedges, cache hits) as a JSONL log that ``python -m
-repro.obs.report`` renders.
-
-``--workers`` composes with ``--trace-out`` (DESIGN.md §10): each
-worker runs its points under a worker-local obs context and ships
-spans + telemetry back with its results; the coordinator merges them
-into one worker-tagged Chrome trace, and ``PATH.prom`` becomes the
-fleet-wide Prometheus dump (worker telemetry plus the fabric's
-per-worker cache/dispatch counters).
+text dump (``PATH.prom``). Tracing disables the sweep cache: a cache
+hit would skip the simulation that produces the spans. Fabric workers
+trace their points locally and ship spans and telemetry back with
+their results; the coordinator merges them into one worker-tagged
+trace, and ``PATH.prom`` becomes the fleet-wide Prometheus dump
+(worker telemetry plus the fabric's per-worker cache/dispatch
+counters; DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -51,7 +46,8 @@ from typing import List, Optional
 
 from repro.analysis import format_table
 from repro.experiments import EXPERIMENTS, EXTENSIONS, FULL, QUICK, SMOKE
-from repro.experiments.executor import resolve_jobs
+from repro.experiments.executor import (remote_spec, resolve_fabric,
+                                        resolve_jobs, set_default_fabric)
 
 _SCALES = {"smoke": SMOKE, "quick": QUICK, "full": FULL}
 
@@ -69,7 +65,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default="quick",
                         help="simulated seconds per measured point")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for sweep points "
+                        help="local worker processes for sweep points "
                              "(default: REPRO_JOBS or all cores; "
                              "1 = serial in-process)")
     parser.add_argument("--no-cache", action="store_true",
@@ -84,30 +80,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--trace-out", metavar="PATH", dest="trace_out",
                         help="run traced (repro.obs) and write a Chrome "
                              "trace JSON to PATH plus a JSONL event log "
-                             "to PATH.jsonl (forces --jobs 1, no cache)")
+                             "to PATH.jsonl (disables the cache)")
     parser.add_argument("--telemetry", type=float, default=None,
                         metavar="SECS",
                         help="with --trace-out: sample telemetry every "
                              "SECS simulated seconds and also write a "
                              "Prometheus text dump to PATH.prom")
-    parser.add_argument("--workers", metavar="SPEC", dest="workers",
-                        help="run sweep points on the distributed "
-                             "fabric: an integer spawns that many local "
-                             "worker processes, 'host:port,...' dials "
-                             "remote workers started with 'python -m "
-                             "repro.experiments.fabric worker --listen' "
-                             "(default: REPRO_FABRIC if set)")
+    parser.add_argument("--workers", metavar="HOST:PORT,...",
+                        dest="workers",
+                        help="run sweep points on remote workers started "
+                             "with 'python -m repro.experiments.fabric "
+                             "worker --listen' (default: REPRO_FABRIC if "
+                             "set; local workers come from --jobs)")
     parser.add_argument("--fabric-trace", metavar="PATH",
                         dest="fabric_trace",
-                        help="with --workers: write per-worker fabric "
+                        help="with --jobs N > 1, --workers or "
+                             "REPRO_FABRIC: write per-worker fabric "
                              "telemetry (queue depth, hedges, cache "
                              "hits) as a repro.obs JSONL log to PATH "
                              "(read with python -m repro.obs.report)")
     arguments = parser.parse_args(argv)
     if arguments.telemetry is not None and not arguments.trace_out:
         parser.error("--telemetry requires --trace-out")
-    if arguments.fabric_trace and not arguments.workers:
-        parser.error("--fabric-trace requires --workers")
 
     requested = arguments.figures or sorted(EXPERIMENTS)
     unknown = [f for f in requested if f not in catalogue]
@@ -116,31 +110,31 @@ def main(argv: Optional[List[str]] = None) -> int:
                      f"choose from {sorted(catalogue)}")
     scale = _SCALES[arguments.scale]
     jobs = resolve_jobs(arguments.jobs)
+    try:
+        # The fabric every sweep big enough to ship runs on, if any.
+        fabric = resolve_fabric(
+            remote_spec(arguments.workers) if arguments.workers else None,
+            jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if arguments.fabric_trace and fabric is None:
+        parser.error("--fabric-trace requires a fabric: --jobs N > 1, "
+                     "--workers or REPRO_FABRIC")
     use_cache = not arguments.no_cache
     obs_context = None
-    fabric = None
     if arguments.trace_out:
         from repro import obs
-        from repro.experiments import executor
         obs_context = obs.ObsContext(
             telemetry_interval=arguments.telemetry)
-        jobs = 1          # local fallbacks stay in this traced process
         use_cache = False  # a cache hit would skip the traced run
-        if not arguments.workers:
-            # A REPRO_FABRIC default would move points off-process
-            # untraced; with --workers the fabric *is* the traced path
-            # (workers ship their spans back, see DESIGN.md §10).
-            executor.set_default_fabric(executor.FABRIC_OFF)
     if arguments.workers:
-        from repro.experiments import executor
-        from repro.experiments.fabric import Fabric, FabricError
-        fabric = Fabric(arguments.workers)
+        from repro.experiments.fabric import FabricError
         try:
             fabric.start()
         except FabricError as exc:
             print(f"error: fabric start failed: {exc}", file=sys.stderr)
             return 2
-        executor.set_default_fabric(fabric)
+        set_default_fabric(fabric)
     failures = 0
     report = {"scale": scale.name, "jobs": jobs,
               "cache": use_cache, "figures": {}}
@@ -198,7 +192,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"({stats['hedges_won']} won), "
               f"{stats['requeued']} requeued]")
         fabric.close()
-        executor.set_default_fabric(None)
+        if arguments.workers:
+            set_default_fabric(None)
 
     if obs_context is not None:
         from repro.obs.export import (export_chrome_trace, export_jsonl,
@@ -209,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         meta = {"figures": requested, "scale": scale.name,
                 "truncated": truncated}
         if fabric_metrics is not None:
-            meta["fabric"] = arguments.workers
+            meta["fabric"] = fabric.spec_text
         export_chrome_trace(obs_context, arguments.trace_out, meta=meta)
         export_jsonl(obs_context, arguments.trace_out + ".jsonl",
                      meta=meta)

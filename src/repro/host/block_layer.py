@@ -144,7 +144,6 @@ class BlockLayer:
                 event.succeed(absorbed)
         request.complete_time = self.sim.now
         self.stats.counter("completed").add(request.size)
-        self.stats.latency("latency").observe(request.latency)
         event = self._completions.pop(request.request_id, None)
         if event is not None:
             event.succeed(request)

@@ -311,7 +311,6 @@ class HedgedVolume:
             self._observe(member, self.sim.now - started)
             request.complete_time = self.sim.now
             self.stats.counter("completed").add(request.size)
-            self.stats.latency("latency").observe(request.latency)
             event.succeed(request)
             return
 
@@ -368,7 +367,6 @@ class HedgedVolume:
         request = race.request
         request.complete_time = self.sim.now
         self.stats.counter("completed").add(request.size)
-        self.stats.latency("latency").observe(request.latency)
         race.event.succeed(request)
 
     def _hedge_timer(self, race: _ReadRace):
@@ -407,7 +405,6 @@ class HedgedVolume:
             return
         request.complete_time = self.sim.now
         self.stats.counter("completed").add(request.size)
-        self.stats.latency("latency").observe(request.latency)
         event.succeed(request)
 
     def register_buffers(self, count: int) -> None:

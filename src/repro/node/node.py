@@ -112,7 +112,6 @@ class _NodeRequest:
         node._cpu.release()
         request.complete_time = now
         node._c_completed.add(request.size)
-        node._l_latency.observe(request.latency)
         if self.span is not None:
             node._obs.spans.end(self.span, now)
         self.event.succeed(request)
@@ -155,7 +154,6 @@ class StorageNode:
         self.stats = StatsRegistry()
         # Per-request metrics, resolved once (a registry probe each).
         self._c_completed = self.stats.counter("completed")
-        self._l_latency = self.stats.latency("latency")
         # Ambient observability, captured once (boolean-guarded hooks).
         self._obs = obs.current()
         self._obs_on = self._obs.enabled

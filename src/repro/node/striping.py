@@ -189,7 +189,6 @@ class StripedVolume:
                 return
             request.complete_time = sim.now
             self.stats.counter("completed").add(request.size)
-            self.stats.latency("latency").observe(request.latency)
             event.succeed(request)
 
         self.sim.process(gather(self.sim), name="stripe.gather")

@@ -337,7 +337,6 @@ class StatsRegistry:
     def __init__(self):
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, TimeWeightedGauge] = {}
-        self.latencies: Dict[str, LatencySampler] = {}
 
     def counter(self, name: str) -> Counter:
         """Get or create the named counter."""
@@ -350,12 +349,6 @@ class StatsRegistry:
         if name not in self.gauges:
             self.gauges[name] = TimeWeightedGauge(name, start_time=start_time)
         return self.gauges[name]
-
-    def latency(self, name: str) -> LatencySampler:
-        """Get or create the named latency sampler."""
-        if name not in self.latencies:
-            self.latencies[name] = LatencySampler(name)
-        return self.latencies[name]
 
     def merge(self, other: "StatsRegistry") -> None:
         """Fold another registry into this one, by metric name.
@@ -371,8 +364,6 @@ class StatsRegistry:
             self.counter(name).merge(counter)
         for name, gauge in other.gauges.items():
             self.gauge(name).merge(gauge)
-        for name, sampler in other.latencies.items():
-            self.latency(name).merge(sampler)
 
     def snapshot(self) -> Dict[str, float]:
         """Flat name→value view for quick assertions and reports."""
@@ -383,7 +374,4 @@ class StatsRegistry:
         for name, gauge in self.gauges.items():
             out[f"{name}.level"] = gauge.level
             out[f"{name}.mean"] = gauge.mean()
-        for name, sampler in self.latencies.items():
-            out[f"{name}.n"] = sampler.count
-            out[f"{name}.mean"] = sampler.mean
         return out

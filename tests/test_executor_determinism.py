@@ -44,7 +44,7 @@ def _identical(first, second):
 
 @pytest.mark.parametrize("figure_id", sorted(CHEAP_FIGURES))
 def test_parallel_equals_serial_smoke(figure_id):
-    """jobs=2 pool output is exactly the serial output at SMOKE."""
+    """jobs=2 fabric output is exactly the serial output at SMOKE."""
     run = CHEAP_FIGURES[figure_id]
     serial = run(SMOKE, jobs=1, cache=False)
     parallel = run(SMOKE, jobs=2, cache=False)
@@ -55,7 +55,7 @@ def test_parallel_equals_serial_smoke(figure_id):
 @pytest.mark.parametrize("figure_id",
                          sorted(EXPERIMENTS) + sorted(EXTENSIONS))
 def test_parallel_equals_serial_smoke_all_figures(figure_id):
-    """Every figure: pool output == serial output at SMOKE scale."""
+    """Every figure: fabric output == serial output at SMOKE scale."""
     run = {**EXPERIMENTS, **EXTENSIONS}[figure_id]
     serial = run(SMOKE, jobs=1, cache=False)
     parallel = run(SMOKE, jobs=2, cache=False)
@@ -194,23 +194,9 @@ def test_code_fingerprint_sees_package_edits(tmp_path):
     assert code_fingerprint(root=tmp_path) not in (base, grown)
 
 
-def test_chunksize_heuristic():
-    """Tiny scales batch; QUICK/FULL scales stay at chunksize 1."""
-    from repro.experiments import FULL, QUICK
-    from repro.experiments.executor import _chunksize
-
-    # SMOKE points batch, bounded and load-balanced.
-    assert _chunksize(SMOKE, ntasks=64, workers=2) == 8
-    assert _chunksize(SMOKE, ntasks=12, workers=2) == 1
-    assert _chunksize(SMOKE, ntasks=640, workers=4) == 8  # capped
-    assert _chunksize(TINY, ntasks=64, workers=2) == 8
-    # Long-running points never batch (head-of-line risk).
-    assert _chunksize(QUICK, ntasks=64, workers=2) == 1
-    assert _chunksize(FULL, ntasks=640, workers=4) == 1
-
-
 def test_parallel_equals_serial_with_batching():
-    """Batched pool map (SMOKE chunksize > 1) is still byte-identical."""
+    """24 points on two local workers, many per worker: still
+    byte-identical, in spec order."""
     spec = SweepSpec(
         experiment_id="batch", title="t", x_label="x", y_label="y",
         point_fn=_stub_point,
@@ -225,7 +211,7 @@ def test_parallel_equals_serial_with_batching():
 def test_smoke_parallel_runner_cli(monkeypatch, capsys, tmp_path):
     """Tier-1 wiring: REPRO_JOBS=2 + smoke scale through the real CLI.
 
-    Exercises env-based job resolution, the fork pool, the on-disk
+    Exercises env-based job resolution, the local fabric, the on-disk
     cache, and the --json emitter end to end on a cheap figure.
     """
     import json

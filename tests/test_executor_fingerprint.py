@@ -1,18 +1,15 @@
-"""Per-module cache fingerprints and spawn-safe pool workers.
+"""Per-module cache fingerprints.
 
-Satellites of the kernel PR: cache keys must track only the modules a
-figure actually imports (editing an unimported module keeps entries
-warm), and the worker pool must be pickle-clean so forcing the
-``spawn`` start method still yields byte-identical sweeps.
+Cache keys must track only the modules a figure actually imports
+(editing an unimported module keeps entries warm).
 """
 
-import multiprocessing
 import sys
 import textwrap
 
 import pytest
 
-from repro.experiments import SMOKE, fig05_xdd_single, fig06_segsize
+from repro.experiments import fig05_xdd_single, fig06_segsize
 from repro.experiments import executor
 from repro.experiments.base import ExperimentScale
 from repro.experiments.executor import (
@@ -189,41 +186,3 @@ def test_fingerprint_incorporates_event_core_backend(monkeypatch):
     monkeypatch.delenv("REPRO_EVENTCORE")
     assert (code_fingerprint_for(fig06_segsize._point)
             == fingerprints[resolve_backend(None)])
-
-
-# -- spawn-safe pool -------------------------------------------------------
-
-def _identical(first, second):
-    assert first.labels == second.labels
-    for series_a, series_b in zip(first.series, second.series):
-        assert series_a.xs == series_b.xs
-        assert series_a.ys == series_b.ys  # exact ==, not approx
-
-
-def test_pool_context_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_MP_START", "spawn")
-    assert executor._pool_context().get_start_method() == "spawn"
-    monkeypatch.delenv("REPRO_MP_START")
-    default = executor._pool_context().get_start_method()
-    assert default in ("fork", "spawn", "forkserver")
-
-
-def test_worker_init_replays_parent_sys_path(monkeypatch):
-    fake = ["/nonexistent/extra-a", "/nonexistent/extra-b"]
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    executor._worker_init(list(sys.path) + fake)
-    assert sys.path[:2] == fake  # prepended, order preserved
-    before = list(sys.path)
-    executor._worker_init(before)  # idempotent
-    assert sys.path == before
-
-
-@pytest.mark.parametrize("method", ["spawn"])
-def test_spawn_pool_equals_serial(monkeypatch, method):
-    """Forcing spawn workers reproduces the serial sweep exactly."""
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"{method} unavailable")  # pragma: no cover
-    serial = fig06_segsize.run(SMOKE, jobs=1, cache=False)
-    monkeypatch.setenv("REPRO_MP_START", method)
-    spawned = fig06_segsize.run(SMOKE, jobs=2, cache=False)
-    _identical(serial, spawned)

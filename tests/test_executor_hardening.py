@@ -5,9 +5,9 @@ The sweep executor must degrade gracefully:
 * a corrupt on-disk cache entry (truncated write, garbage bytes, wrong
   value shape) is logged, evicted and recomputed — never an abort and
   never a silently poisoned figure;
-* a worker process dying mid-sweep (OOM-kill, segfault) breaks the
-  pool, and the executor falls back to recomputing the batch serially
-  in-process;
+* a fabric worker dying mid-point (OOM-kill, segfault) gets its task
+  requeued; a point that keeps killing workers exhausts the requeue
+  budget, and the executor recomputes the sweep serially in-process;
 * ``REPRO_POINT_TIMEOUT`` bounds each point's wall-clock; an overrun
   yields ``NaN`` and is *not* written to the cache, so the next run
   retries.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import time
 
@@ -36,16 +35,16 @@ from repro.experiments.executor import (
 TINY = ExperimentScale("tiny", duration=0.1, warmup=0.02)
 
 
-# -- point functions (top-level so they pickle by reference) ---------------
+# -- point functions (top-level so workers import them by reference) ------
 
 def _double(scale, params):
     return params["x"] * 2.0
 
 
 def _crash_in_worker(scale, params):
-    """Die hard — but only inside a pool worker, so the serial
+    """Die hard — but only inside a fabric worker, so the serial
     fallback (which runs in the parent) can succeed."""
-    if params.get("crash") and multiprocessing.parent_process() is not None:
+    if params.get("parent") not in (None, os.getpid()):
         os._exit(1)
     return params["x"] * 2.0
 
@@ -113,21 +112,33 @@ def test_missing_entry_is_a_plain_miss(tmp_path):
 # -- worker crashes --------------------------------------------------------
 
 def test_worker_crash_falls_back_to_serial(tmp_path, caplog):
-    points = _points(_crash_in_worker, [1.0, 2.0, 3.0], crash=True)
+    """Every copy of these points kills its worker: the fabric requeues
+    them until the budget runs out, then the sweep runs serially."""
+    xs = [1.0, 2.0, 3.0, 4.0]
+    points = _points(_crash_in_worker, xs, parent=os.getpid())
     spec = _spec(_crash_in_worker, points)
-    with caplog.at_level("WARNING", logger="repro.sweeps"):
+    fabric = executor.resolve_fabric(None, jobs=2)
+    requeued = fabric.requeued
+    with caplog.at_level("WARNING", logger="repro"):
         result = run_sweep(spec, TINY, jobs=2, cache_root=tmp_path)
-    assert result.series[0].ys == [2.0, 4.0, 6.0]
-    assert any("worker pool failed" in record.message
+    assert result.series[0].ys == [2.0, 4.0, 6.0, 8.0]
+    assert fabric.requeued > requeued
+    assert any("re-queueing task" in record.message
+               for record in caplog.records)
+    assert any("sweep fabric failed" in record.message
                for record in caplog.records)
 
 
-def test_healthy_pool_does_not_fall_back(tmp_path, caplog):
-    spec = _spec(_double, _points(_double, [1.0, 2.0]))
-    with caplog.at_level("WARNING", logger="repro.sweeps"):
+def test_healthy_fabric_does_not_fall_back(tmp_path, caplog):
+    xs = [1.0, 2.0, 3.0, 4.0]
+    spec = _spec(_double, _points(_double, xs))
+    fabric = executor.resolve_fabric(None, jobs=2)
+    completed = fabric.completed
+    with caplog.at_level("WARNING", logger="repro"):
         result = run_sweep(spec, TINY, jobs=2, cache_root=tmp_path)
-    assert result.series[0].ys == [2.0, 4.0]
-    assert not any("worker pool failed" in record.message
+    assert result.series[0].ys == [2.0, 4.0, 6.0, 8.0]
+    assert fabric.completed == completed + len(xs)
+    assert not any("sweep fabric failed" in record.message
                    for record in caplog.records)
 
 

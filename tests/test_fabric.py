@@ -22,7 +22,8 @@ import pytest
 
 from repro.experiments import SMOKE, executor, fig06_segsize
 from repro.experiments.base import ExperimentScale
-from repro.experiments.executor import SweepCache, point_key, run_sweep
+from repro.experiments.executor import (Point, SweepCache, SweepSpec,
+                                        point_key, run_sweep)
 from repro.experiments.fabric import Fabric, FabricError
 from repro.experiments.fabric.protocol import (FrameBuffer, FrameError,
                                                WorkerSpec, parse_address,
@@ -136,23 +137,48 @@ def test_resolve_point_fn_roundtrip():
 
 
 def test_fabric_resolution_order(monkeypatch):
+    monkeypatch.setattr(executor, "_FABRICS", {})
     monkeypatch.delenv("REPRO_FABRIC", raising=False)
-    assert executor._resolve_fabric(None) is None
-    assert executor._resolve_fabric(executor.FABRIC_OFF) is None
+    assert executor.resolve_fabric(None, jobs=1) is None
+    local = executor.resolve_fabric(None, jobs=3)
+    assert local.spec == WorkerSpec(spawn=3)
+    assert executor.resolve_fabric(None, jobs=3) is local  # shared
     sentinel = object()
-    assert executor._resolve_fabric(sentinel) is sentinel
+    assert executor.resolve_fabric(sentinel, jobs=3) is sentinel
+    monkeypatch.setenv("REPRO_FABRIC", "hostA:7070")
+    remote = executor.resolve_fabric(None, jobs=3)
+    assert remote.spec.addresses == (("tcp", ("hostA", 7070)),)
     previous = executor.set_default_fabric(sentinel)
     try:
-        assert executor._resolve_fabric(None) is sentinel
-        # FABRIC_OFF beats both the default and the environment.
-        monkeypatch.setenv("REPRO_FABRIC", "4")
-        assert executor._resolve_fabric(executor.FABRIC_OFF) is None
+        # The default (the runner's --workers) beats the environment.
+        assert executor.resolve_fabric(None, jobs=3) is sentinel
     finally:
         executor.set_default_fabric(previous)
+    # Nothing above started a worker: fabrics spawn on first use.
+    assert all(not fabric._workers
+               for fabric in executor._FABRICS.values())
+
+
+@pytest.mark.parametrize("spec", ["4", " 2 "])
+def test_worker_count_spec_points_to_jobs(monkeypatch, spec):
+    """--workers and REPRO_FABRIC take addresses; local worker counts
+    come from --jobs."""
+    monkeypatch.setenv("REPRO_FABRIC", spec)
+    with pytest.raises(ValueError, match="--jobs"):
+        executor.resolve_fabric(None, jobs=2)
+    from repro.experiments.runner import main
+    with pytest.raises(SystemExit):
+        main(["fig06", "--scale", "smoke", "--workers", spec])
+
+
+class _RemoteDouble:
+    """Stands in for a Fabric of dialed workers."""
+
+    spec = parse_spec("localhost:7070")
 
 
 def test_run_sweep_falls_back_when_fabric_breaks():
-    class BrokenFabric:
+    class BrokenFabric(_RemoteDouble):
         calls = 0
 
         def run_tasks(self, tasks, keys=None, use_cache=False,
@@ -168,13 +194,19 @@ def test_run_sweep_falls_back_when_fabric_breaks():
     assert serial.as_dict() == degraded.as_dict()
 
 
-def test_mixed_mode_small_sweeps_skip_the_fabric(monkeypatch):
-    """Sweeps under the FABRIC_MIN_POINTS floor run in-process even
-    with a fabric configured; REPRO_FABRIC_MIN_POINTS=0 forces the
-    fabric for everything."""
-    from repro.experiments.executor import Point, SweepSpec
+def _cheap_spec(count):
+    return SweepSpec(
+        experiment_id="cheap", title="t", x_label="x", y_label="y",
+        point_fn=_cheap_point,
+        points=tuple(Point(series="y", x=x, params={"x": x})
+                     for x in range(count)))
 
-    class CountingFabric:
+
+def test_mixed_mode_small_sweeps_skip_the_fabric():
+    """Sweeps under the FABRIC_MIN_POINTS floor run in-process even
+    with a fabric configured."""
+
+    class CountingFabric(_RemoteDouble):
         def __init__(self):
             self.calls = 0
 
@@ -183,23 +215,42 @@ def test_mixed_mode_small_sweeps_skip_the_fabric(monkeypatch):
             self.calls += 1
             return [fn(scale, params) for fn, scale, params in tasks]
 
-    spec = SweepSpec(
-        experiment_id="mixed-mode-tiny", title="t", x_label="x",
-        y_label="y", point_fn=_cheap_point,
-        points=(Point(series="y", x=1, params={"x": 1}),
-                Point(series="y", x=2, params={"x": 2})))
     counting = CountingFabric()
-    small = run_sweep(spec, TINY, jobs=1, cache=False, fabric=counting)
+    small = run_sweep(_cheap_spec(2), TINY, jobs=1, cache=False,
+                      fabric=counting)
     assert counting.calls == 0  # 2 pending points < floor of 4
-    monkeypatch.setenv("REPRO_FABRIC_MIN_POINTS", "0")
-    forced = run_sweep(spec, TINY, jobs=1, cache=False, fabric=counting)
-    assert counting.calls == 1
-    assert small.as_dict() == forced.as_dict()  # route never changes bits
-    # A malformed override is ignored, not fatal: back to the default
-    # floor, so the 2-point sweep stays local again.
-    monkeypatch.setenv("REPRO_FABRIC_MIN_POINTS", "many")
-    run_sweep(spec, TINY, jobs=1, cache=False, fabric=counting)
-    assert counting.calls == 1
+    assert small.get("y").ys == [_cheap_point(TINY, {"x": x})
+                                 for x in range(2)]
+
+
+def test_sweep_below_floor_spawns_no_workers(monkeypatch):
+    monkeypatch.setattr(executor, "_FABRICS", {})
+    monkeypatch.delenv("REPRO_FABRIC", raising=False)
+    count = executor.FABRIC_MIN_POINTS - 1
+    result = run_sweep(_cheap_spec(count), TINY, jobs=2, cache=False)
+    assert executor._FABRICS == {}
+    assert result.get("y").ys == [_cheap_point(TINY, {"x": x})
+                                  for x in range(count)]
+
+
+def test_consecutive_sweeps_reuse_one_spawned_fabric(monkeypatch):
+    monkeypatch.setattr(executor, "_FABRICS", {})
+    monkeypatch.delenv("REPRO_FABRIC", raising=False)
+    spec = _cheap_spec(6)
+    serial = run_sweep(spec, TINY, jobs=1, cache=False)
+    first = run_sweep(spec, TINY, jobs=2, cache=False)
+    fabric = executor._FABRICS["2"]
+    try:
+        pids = sorted(worker.pid for worker in fabric._workers.values())
+        second = run_sweep(spec, TINY, jobs=2, cache=False)
+        assert list(executor._FABRICS) == ["2"]
+        assert len(pids) == 2
+        assert sorted(worker.pid
+                      for worker in fabric._workers.values()) == pids
+        assert fabric.completed == 2 * len(spec.points)
+    finally:
+        fabric.close()
+    assert first.as_dict() == second.as_dict() == serial.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +454,24 @@ def test_backend_mismatched_worker_is_refused():
             fabric.start()
     finally:
         fabric.close()
+
+
+def test_spawned_fabric_hedges_only_when_asked():
+    """Spawned workers are copies of one interpreter: a long task is a
+    long point, so they issue no hedges unless hedge_k/hedge_min_s are
+    given. Dialed workers keep the straggler defaults."""
+    with Fabric("2") as fabric:
+        assert not fabric.hedging
+        # Even a zero threshold issues no hedge on a spawned fabric.
+        fabric.hedge_k = fabric.hedge_min_s = 0.0
+        assert fabric.run_tasks([(_slow_point, TINY, {"x": 7})]) == [7.5]
+        assert fabric.hedges_issued == 0
+    with Fabric("2", hedge_k=0.0, hedge_min_s=0.0) as eager:
+        assert eager.run_tasks([(_slow_point, TINY, {"x": 7})]) == [7.5]
+        assert eager.hedges_issued >= 1
+    dialed = Fabric("localhost:7070")
+    assert dialed.hedging
+    assert (dialed.hedge_k, dialed.hedge_min_s) == (3.0, 1.0)
 
 
 def test_eager_hedging_first_result_wins_and_telemetry_exports(tmp_path):

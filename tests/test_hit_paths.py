@@ -143,7 +143,7 @@ def test_server_memory_hit_spawns_no_process(spawned):
     server = StreamServer(sim, node, ServerParams(
         read_ahead=1 * MiB, memory_budget=64 * MiB,
         requests_per_residency=1))
-    latency = server.stats.latency("latency")
+    completed = server.stats.counter("completed")
     seen = {}
 
     def client(sim):
@@ -155,7 +155,7 @@ def test_server_memory_hit_spawns_no_process(spawned):
         buffer = server.buffered.find(0, offset, 64 * KiB)
         assert buffer is not None and buffer.filled
         seen["hits"] = server.stats.counter("staged_hits").count
-        seen["samples"] = latency.count
+        seen["completed"] = completed.count
         seen["submitted"] = sim.now
         before = len(spawned)
         event = server.submit(_read(offset))
@@ -163,7 +163,7 @@ def test_server_memory_hit_spawns_no_process(spawned):
         done = yield event
         seen["resumed"] = sim.now
         seen["complete_time"] = done.complete_time
-        seen["samples_at_resume"] = latency.count
+        seen["completed_at_resume"] = completed.count
 
     sim.run_until_event(sim.process(client(sim)))
     assert seen["spawned"] == []
@@ -171,7 +171,7 @@ def test_server_memory_hit_spawns_no_process(spawned):
     assert seen["resumed"] == \
         seen["submitted"] + server.params.completion_copy_s
     assert seen["complete_time"] == seen["resumed"]
-    assert seen["samples_at_resume"] == seen["samples"] + 1
+    assert seen["completed_at_resume"] == seen["completed"] + 1
 
 
 # -- Figure 2 ----------------------------------------------------------------

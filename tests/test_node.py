@@ -120,14 +120,14 @@ def test_node_throughput_accounting():
     assert node.throughput(sim.now) == pytest.approx(total / sim.now)
 
 
-def test_node_latency_sampler_populated():
+def test_node_completion_records_request_latency():
     sim = Simulator()
     node = build_node(sim, base_topology())
-    node.submit(read(0, 0, 64 * KiB))
+    event = node.submit(read(0, 0, 64 * KiB))
     sim.run()
-    sampler = node.stats.latency("latency")
-    assert sampler.count == 1
-    assert sampler.mean > 0
+    assert node.stats.counter("completed").count == 1
+    request = event.value
+    assert 0 < request.latency <= request.complete_time <= sim.now
 
 
 def test_node_seeded_reproducibility():

@@ -265,16 +265,13 @@ def test_registry_reuses_named_metrics():
     registry = StatsRegistry()
     assert registry.counter("x") is registry.counter("x")
     assert registry.gauge("g") is registry.gauge("g")
-    assert registry.latency("l") is registry.latency("l")
 
 
 def test_registry_snapshot_shape():
     registry = StatsRegistry()
     registry.counter("io").add(512)
     registry.gauge("queue").set(1.0, 3)
-    registry.latency("lat").observe(0.01)
     snap = registry.snapshot()
     assert snap["io.count"] == 1
     assert snap["io.bytes"] == 512
     assert snap["queue.level"] == 3
-    assert snap["lat.n"] == 1
