@@ -10,9 +10,11 @@ misclassified as sequential).
 Lookup and reclamation are index-accelerated (DESIGN.md "data-plane
 indexes"): per-disk and per-stream start-sorted span indexes make
 :meth:`BufferedSet.find` / :meth:`BufferedSet.find_in_stream`
-O(log buffers) and a lazily-invalidated idle heap makes
-:meth:`BufferedSet.collect` touch only expired buffers. All three are
-pure accelerations — observable behaviour (results, tie-breaks, release
+O(log buffers), a per-stream head map makes the sequential hit
+(:meth:`BufferedSet.consume_head`) O(1), and an idle heap with
+one entry per filled buffer, re-keyed lazily, makes
+:meth:`BufferedSet.collect` touch only expired buffers. All are pure
+accelerations — observable behaviour (results, tie-breaks, release
 order, callback order) is bit-identical to the reference linear scans,
 which ``tests/test_core_differential.py`` pins.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.io import IORequest
@@ -37,12 +39,13 @@ class StreamBuffer:
 
     ``filled`` flips when the disk read completes; ``consumed_until`` is
     the high-water byte the client has read (buffers are consumed in
-    order because streams are sequential).
+    order because streams are sequential). ``end`` is one past the last
+    byte staged.
     """
 
     __slots__ = ("buffer_id", "stream_id", "disk_id", "offset", "size",
-                 "filled", "consumed_until", "created_at", "last_access",
-                 "waiters")
+                 "end", "filled", "consumed_until", "created_at",
+                 "last_access", "waiters")
 
     def __init__(self, stream_id: int, disk_id: int, offset: int,
                  size: int, now: float):
@@ -53,17 +56,13 @@ class StreamBuffer:
         self.disk_id = disk_id
         self.offset = offset
         self.size = size
+        self.end = offset + size
         self.filled = False
         self.consumed_until = offset
         self.created_at = now
         self.last_access = now
         #: (request, event) pairs to complete when the buffer fills.
         self.waiters: List[Tuple[IORequest, Event]] = []
-
-    @property
-    def end(self) -> int:
-        """One past the last byte staged."""
-        return self.offset + self.size
 
     @property
     def fully_consumed(self) -> bool:
@@ -157,14 +156,19 @@ class BufferedSet:
         #: consume in order; dicts preserve allocation order and give
         #: O(1) removal from the middle).
         self._by_stream: Dict[int, Dict[int, StreamBuffer]] = {}
+        #: stream_id -> the stream's oldest live buffer (the first entry
+        #: of its ``_by_stream`` dict), for consume_head.
+        self._heads: Dict[int, StreamBuffer] = {}
         #: Span indexes behind find / find_in_stream.
         self._disk_index: Dict[int, _SpanIndex] = {}
         self._stream_index: Dict[int, _SpanIndex] = {}
-        #: (last_access, buffer_id) min-heap over *filled* buffers, with
-        #: lazy invalidation: every fill/consume pushes a fresh entry and
-        #: collect() skips entries whose buffer is gone or has a newer
-        #: last_access. Invariant: a filled buffer's current
-        #: (last_access, id) pair is always present.
+        #: (key, buffer_id) min-heap over *filled* buffers. mark_filled
+        #: pushes the one entry a buffer gets; consume only moves
+        #: ``last_access``, and collect() re-keys an entry it finds
+        #: older than its buffer's ``last_access``. Invariant: every
+        #: live filled buffer has an entry whose key is at most its
+        #: ``last_access``; entries of released buffers are dropped
+        #: when they reach the top.
         self._idle_heap: List[Tuple[float, int]] = []
         self.peak_in_use = 0
         self.allocated_total = 0
@@ -194,6 +198,7 @@ class BufferedSet:
         siblings = self._by_stream.get(stream_id)
         if siblings is None:
             siblings = self._by_stream[stream_id] = {}
+            self._heads[stream_id] = buffer
         siblings[buffer.buffer_id] = buffer
         disk_index = self._disk_index.get(disk_id)
         if disk_index is None:
@@ -248,19 +253,43 @@ class BufferedSet:
             return None
         return self._buffers[buffer_id]
 
+    def consume_head(self, stream_id: int, end: int,
+                     now: float) -> Optional[StreamBuffer]:
+        """Serve a sequential read ending at ``end`` from the stream's
+        oldest live buffer; returns that buffer, or None if it can't.
+
+        It can when the head is filled and holds byte ``end - 1``. The
+        head then is what ``find_in_stream(stream_id, end - 1, 1)``
+        returns (the lowest id wins). The server allocates a stream's
+        buffers disjoint and in offset order, so the head is also the
+        only buffer starting below ``end``: consuming it up to ``end``
+        is all that walking the stream's buffers with :meth:`consume`
+        would do. On None nothing changed; the caller falls back to
+        that lookup and walk.
+        """
+        buffer = self._heads.get(stream_id)
+        if buffer is None or not buffer.filled \
+                or not buffer.offset < end <= buffer.end:
+            return None
+        buffer.last_access = now
+        if end > buffer.consumed_until:
+            buffer.consumed_until = end
+        if buffer.consumed_until >= buffer.end:
+            self._release(buffer)
+        return buffer
+
     def consume(self, buffer: StreamBuffer, offset: int, size: int,
                 now: float) -> bool:
         """Advance the consumption high-water; free if fully consumed.
 
-        Returns True when the buffer was released.
+        Returns True when the buffer was released. The idle heap is not
+        touched: collect() re-keys the buffer's entry when it gets there.
         """
         buffer.last_access = now
         buffer.consumed_until = max(buffer.consumed_until, offset + size)
         if buffer.fully_consumed:
             self._release(buffer)
             return True
-        if buffer.filled:
-            heappush(self._idle_heap, (now, buffer.buffer_id))
         return False
 
     # -- reclamation -----------------------------------------------------------
@@ -269,11 +298,15 @@ class BufferedSet:
         if removed is None:
             return
         self.in_use -= buffer.size
-        siblings = self._by_stream.get(buffer.stream_id)
+        stream_id = buffer.stream_id
+        siblings = self._by_stream.get(stream_id)
         if siblings is not None:
             siblings.pop(buffer.buffer_id, None)
             if not siblings:
-                del self._by_stream[buffer.stream_id]
+                del self._by_stream[stream_id]
+                del self._heads[stream_id]
+            elif self._heads[stream_id] is buffer:
+                self._heads[stream_id] = next(iter(siblings.values()))
         disk_index = self._disk_index.get(buffer.disk_id)
         if disk_index is not None:
             disk_index.remove(buffer)
@@ -312,26 +345,30 @@ class BufferedSet:
         In-flight buffers are never collected (the completion path still
         owns them). Returns bytes reclaimed.
 
-        Cost is O(expired + stale heap entries), not O(live buffers):
-        the heap's minimum bounds every buffer's idle time, so one
-        non-expired top entry proves nothing else qualifies. Expired
-        buffers release in ascending buffer-id order — the same order
-        the reference full scan produced (dict insertion order is
-        allocation order).
+        Cost is O(expired + released + re-keyed entries), not
+        O(live buffers): no entry's key exceeds its buffer's
+        ``last_access``, so one non-expired top entry proves nothing
+        else qualifies. An expired-looking entry whose buffer was read
+        since is re-keyed to the newer ``last_access`` (at most once per
+        buffer per call) and compared again. Expired buffers release in
+        ascending buffer-id order — the same order the reference full
+        scan produced (dict insertion order is allocation order).
         """
         heap = self._idle_heap
         buffers = self._buffers
         expired: Dict[int, StreamBuffer] = {}
         while heap:
-            last_access, buffer_id = heap[0]
-            if now - last_access < timeout:
+            key, buffer_id = heap[0]
+            if now - key < timeout:
                 break
-            heappop(heap)
             buffer = buffers.get(buffer_id)
-            if (buffer is None or buffer.last_access != last_access
-                    or not buffer.filled):
-                continue  # released since, or superseded by a newer entry
-            expired[buffer_id] = buffer
+            if buffer is None:
+                heappop(heap)  # released since it filled
+            elif buffer.last_access != key:
+                heapreplace(heap, (buffer.last_access, buffer_id))
+            else:
+                heappop(heap)
+                expired[buffer_id] = buffer
         reclaimed = 0
         for buffer_id in sorted(expired):
             buffer = expired[buffer_id]

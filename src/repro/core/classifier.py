@@ -32,8 +32,8 @@ class SequentialClassifier:
     """Stateful request → stream routing and stream detection."""
 
     __slots__ = ("params", "bitmaps", "_by_next", "streams", "_activity",
-                 "_gap_width", "_gap_buckets", "detected", "routed",
-                 "direct")
+                 "_parked", "_gap_width", "_gap_buckets", "detected",
+                 "routed", "direct")
 
     def __init__(self, params: ServerParams):
         self.params = params
@@ -50,6 +50,11 @@ class SequentialClassifier:
         #: the front and stops at the first non-idle stream instead of
         #: scanning every live stream each period.
         self._activity: "OrderedDict[int, StreamQueue]" = OrderedDict()
+        #: Streams the GC found idle while clients still wait on them
+        #: (:meth:`park`). They stay out of the activity walk until
+        #: their demand drains (:meth:`unpark`) or a request routes to
+        #: them again.
+        self._parked: Dict[int, StreamQueue] = {}
         #: Near-sequential matching index, only maintained when the gap
         #: tolerance is on (the default 0 keeps the hot path free of
         #: it): (disk_id, client_next // gap) -> {stream_id: stream}.
@@ -79,8 +84,12 @@ class SequentialClassifier:
             stream = self._match_with_gap(request)
         if stream is not None:
             self._advance(stream, request.end)
-            stream.touch(now)
-            self._activity.move_to_end(stream.stream_id)
+            stream.last_activity = now
+            try:
+                self._activity.move_to_end(stream.stream_id)
+            except KeyError:
+                self._activity[stream.stream_id] = \
+                    self._parked.pop(stream.stream_id)
             self.routed += 1
             return stream
         detected = self._observe_unknown(request, now)
@@ -187,12 +196,13 @@ class SequentialClassifier:
         self.streams.pop(stream.stream_id, None)
         self._by_next.pop((stream.disk_id, stream.client_next), None)
         self._activity.pop(stream.stream_id, None)
+        self._parked.pop(stream.stream_id, None)
         if self.params.gap_tolerance:
             self._gap_unindex(stream)
 
     def idle_candidates(self, now: float,
                         timeout: float) -> List[StreamQueue]:
-        """Streams idle for at least ``timeout``, in ascending-id order.
+        """Unparked streams idle for at least ``timeout``, by id.
 
         Cost is O(idle streams), not O(live streams): the activity list
         is walked front-to-back and the first non-idle stream ends the
@@ -207,6 +217,28 @@ class SequentialClassifier:
             idle.append(stream)
         idle.sort(key=lambda stream: stream.stream_id)
         return idle
+
+    def park(self, stream: StreamQueue) -> None:
+        """Take an idle stream that still has demand out of the walk.
+
+        The GC cannot drop such a stream, so walking and sorting it
+        every cycle until its clients are served is wasted work.
+        """
+        del self._activity[stream.stream_id]
+        self._parked[stream.stream_id] = stream
+
+    def unpark(self, stream: StreamQueue) -> None:
+        """Return a parked stream to the walk once its demand drains.
+
+        It goes to the front. It has been idle since before the GC
+        cycle that parked it, and that cycle dropped or parked every
+        stream that was idle then, so every stream left in the activity
+        order was active more recently. The next cycle therefore finds
+        it idle, exactly as the full scan would.
+        """
+        if self._parked.pop(stream.stream_id, None) is not None:
+            self._activity[stream.stream_id] = stream
+            self._activity.move_to_end(stream.stream_id, last=False)
 
     def expire_bitmaps(self, now: float) -> int:
         """Recycle stale region bitmaps; returns count dropped."""

@@ -48,25 +48,10 @@ class GarbageCollector:
                     or len(server.buffered)
                     or server.classifier.bitmaps.live_count)
 
-    def _idle_streams(self, now: float):
-        """Streams idle past the timeout, in reference drop order.
-
-        :class:`~repro.core.classifier.SequentialClassifier` tracks
-        streams in activity order, so the scan touches only idle
-        streams; duck-typed classifier replacements without that index
-        fall back to the full scan over ``streams``.
-        """
-        classifier = self.server.classifier
-        timeout = self.server.params.stream_timeout
-        candidates = getattr(classifier, "idle_candidates", None)
-        if candidates is not None:
-            return candidates(now, timeout)
-        return [stream for stream in list(classifier.streams.values())
-                if now - stream.last_activity >= timeout]
-
     def _loop(self):
         server = self.server
         params = server.params
+        classifier = server.classifier
         while self._has_work():
             yield server.sim.timeout(params.gc_period)
             now = server.sim.now
@@ -78,14 +63,19 @@ class GarbageCollector:
                     "gc.cycle", "mark", now,
                     args={"reclaimed": reclaimed,
                           "in_use": server.buffered.in_use})
-            server.classifier.expire_bitmaps(now)
-            for stream in self._idle_streams(now):
+            classifier.expire_bitmaps(now)
+            for stream in classifier.idle_candidates(
+                    now, params.stream_timeout):
                 if stream.has_demand:
+                    # Clients still wait on it: it cannot be dropped
+                    # until they are served, so keep it out of the next
+                    # cycles' walks (the server unparks it on drain).
+                    classifier.park(stream)
                     continue
                 # Quiet stream: reclaim everything it holds.
                 server.buffered.release_stream(stream.stream_id)
                 server.dispatch.rotate_out(stream)
                 server.dispatch.drop_waiting(stream)
-                server.classifier.drop_stream(stream)
+                classifier.drop_stream(stream)
                 self.streams_dropped += 1
         self.running = False

@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Set
 
 from repro import obs
@@ -39,7 +38,7 @@ from repro.faults.errors import (
     RequestTimeout,
     is_transient,
 )
-from repro.io import BlockDevice, IOKind, IORequest, stamp_submit
+from repro.io import BlockDevice, IOKind, IORequest
 from repro.sim import Simulator
 from repro.sim.events import Event
 from repro.sim.stats import StatsRegistry
@@ -130,11 +129,18 @@ class StreamServer:
         self._pump_name = f"{name}.pump"
         self._mem_name = f"{name}.mem"
         self._copy_s = self.params.completion_copy_s
+        #: (request, event) per staged hit whose copy is in progress, in
+        #: the order their copy timeouts fire (see _finish_later); every
+        #: copy timeout shares the one bound callback.
+        self._copies: deque = deque()
+        self._copy_done_cb = self._copy_done
         stats = self.stats
         self._c_direct = stats.counter("direct")
         self._c_staged_hits = stats.counter("staged_hits")
         self._c_completed = stats.counter("completed")
         self._c_readahead_issued = stats.counter("readahead_issued")
+        self._c_attached = stats.counter("attached")
+        self._c_reclaimed_misses = stats.counter("reclaimed_misses")
         # Fault/degradation policy state (DESIGN.md §6). All counters
         # stay zero when the policies are off (the default), and the
         # happy path through _await_device is then byte-for-byte the
@@ -228,7 +234,8 @@ class StreamServer:
         overflow waits in a bounded FIFO, and when that is full too the
         oldest waiting request is shed (DESIGN.md §9).
         """
-        stamp_submit(request, self.sim.now)
+        if request.submit_time == 0.0:  # repro.io.stamp_submit, inlined
+            request.submit_time = self.sim.now
         event = self.sim.event(self._srv_name)
         if not self._admission_on:
             return self._accept(request, event)
@@ -332,18 +339,28 @@ class StreamServer:
                 self._obs_phase(request, "server.direct")
             self._issue_direct(request, event)
             return event
-        if request.end <= stream.fetch_next:
-            # Within fetched/in-flight ranges: find the buffer holding
-            # the request's last byte (fills are in order, so once it
-            # fills everything before it has too). The buffer — not the
-            # filled_until counter — is the source of truth: GC may have
-            # reclaimed staged data the counter still remembers.
+        end = request.end
+        if end <= stream.fetch_next:
+            if self.buffered.consume_head(stream.stream_id, end,
+                                          self.sim.now) is not None:
+                # Head-buffer hit: the common case, with no lookup and
+                # no walk (DESIGN.md §4).
+                if self._obs_on:
+                    self._obs_phase(request, "server.memhit")
+                self._c_staged_hits.add(request.size)
+                self._finish_later(request, event)
+                return event
+            # Otherwise find the buffer holding the request's last byte
+            # (fills are in order, so once it fills everything before
+            # it has too). The buffer — not the filled_until counter —
+            # is the source of truth: GC may have reclaimed staged data
+            # the counter still remembers.
             buffer = self.buffered.find_in_stream(
-                stream.stream_id, request.end - 1, 1)
+                stream.stream_id, end - 1, 1)
             if buffer is None:
                 # Data was fetched but reclaimed before this read (GC,
                 # memory pressure): fall back to a direct read.
-                self.stats.counter("reclaimed_misses").add(request.size)
+                self._c_reclaimed_misses.add(request.size)
                 if self._obs_on:
                     self._obs_phase(request, "server.direct")
                 self._issue_direct(request, event)
@@ -356,7 +373,7 @@ class StreamServer:
                 if self._obs_on:
                     self._obs_phase(request, "server.stage")
                 buffer.waiters.append((request, event))
-                self.stats.counter("attached").add(request.size)
+                self._c_attached.add(request.size)
         else:
             # Beyond the fetch frontier: queue on the stream and make
             # sure it is (or becomes) dispatched.
@@ -600,6 +617,7 @@ class StreamServer:
             if self._obs_on:
                 self._obs_fail(_request, exc)
             event.fail(exc)
+        self.classifier.unpark(stream)
         stream.fetch_next = min(stream.fetch_next, buffer.offset)
 
     def _buffer_filled(self, stream: StreamQueue,
@@ -641,6 +659,9 @@ class StreamServer:
                 unblocked += 1
                 self._obs_join_fetch(request, fetch_span)
             self._finish_later(request, event)
+        if not stream.pending:
+            # Demand drained: a stream the GC parked is droppable again.
+            self.classifier.unpark(stream)
         if fetch_span is not None:
             fetch_span.set_arg("unblocked", unblocked)
 
@@ -653,16 +674,26 @@ class StreamServer:
     def _finish_later(self, request: IORequest, event: Event) -> None:
         """Model the memory-to-client copy, then complete the request.
 
-        The copy never waits on anything, so it is one timeout whose
-        callback runs :meth:`_finish`, not a Process (DESIGN.md §4,
-        "No Process for a hop that never waits").
+        The copy never waits on anything, so it is one timeout, not a
+        Process (DESIGN.md §4, "No Process for a hop that never
+        waits"). Every copy timeout has the same delay and ``sim.now``
+        never decreases, so they fire in the order they were created:
+        the request rides a FIFO and one shared callback takes it off.
         """
-        copy = self.sim.timeout(self._copy_s)
-        copy.callbacks.append(partial(self._copy_done, request, event))
+        self._copies.append((request, event))
+        self.sim.timeout(self._copy_s).callbacks.append(self._copy_done_cb)
 
-    def _copy_done(self, request: IORequest, event: Event,
-                   _copy: Event) -> None:
-        self._finish(request, event)
+    def _copy_done(self, _copy: Event) -> None:
+        """:meth:`_finish` for the oldest copy in progress."""
+        request, event = self._copies.popleft()
+        now = self.sim.now
+        request.complete_time = now
+        self._c_completed.add(request.size)
+        if self._obs_on:
+            span = request.annotations.pop("obs.phase", None)
+            if span is not None:
+                self._obs.spans.end(span, now)
+        event.succeed(request)
 
     def _rotate(self, stream: StreamQueue) -> None:
         """End of residency: leave the dispatch set, requeue if needed.
@@ -690,6 +721,7 @@ class StreamServer:
                     if span is not None:
                         span.name = "server.direct"
                 self._issue_direct(request, event)
+            self.classifier.unpark(stream)
         self._admit_streams()
 
     # -- reporting -------------------------------------------------------------------

@@ -57,15 +57,12 @@ class StreamQueue:
         self.issued_in_residency = 0
         self.total_issued = 0
         self.created_at = now
+        #: Time the classifier last routed a request here (GC idleness).
         self.last_activity = now
         self.initial_offset = start_offset
         #: Consecutive failed read-ahead fetches (reset on success);
         #: the server's quarantine policy trips on this.
         self.fetch_failures = 0
-
-    def touch(self, now: float) -> None:
-        """Record activity (classifier routing, request arrival)."""
-        self.last_activity = now
 
     @property
     def has_demand(self) -> bool:

@@ -95,6 +95,49 @@ def test_collect_reclaims_idle_filled_only():
     assert buffered.find(0, 20 * MiB, 1) is fresh
 
 
+def test_partial_consumes_keep_one_idle_heap_entry():
+    buffered = BufferedSet(memory_budget=4 * MiB)
+    buffer = buffered.allocate(1, 0, 0, 1 * MiB, now=0.0)
+    buffered.mark_filled(buffer, now=0.0)
+    for step in range(1000):
+        assert not buffered.consume(buffer, step * KiB, KiB,
+                                    now=step * 0.001)
+    assert len(buffered._idle_heap) == 1
+
+
+def test_collect_rekeys_a_buffer_read_since_it_filled():
+    buffered = BufferedSet(memory_budget=4 * MiB)
+    buffer = buffered.allocate(1, 0, 0, 1 * MiB, now=0.0)
+    buffered.mark_filled(buffer, now=0.0)
+    buffered.consume(buffer, 0, 64 * KiB, now=3.0)
+    # Filled at 0 but read at 3: not idle for 4 s at 4.5.
+    assert buffered.collect(now=4.5, timeout=4.0) == 0
+    assert buffered._idle_heap == [(3.0, buffer.buffer_id)]
+    assert buffered.collect(now=7.0, timeout=4.0) == 1 * MiB
+    assert buffered._idle_heap == []
+
+
+def test_consume_head_serves_only_the_oldest_filled_buffer():
+    buffered = BufferedSet(memory_budget=4 * MiB)
+    first = buffered.allocate(7, 0, 0, 256 * KiB, now=0.0)
+    second = buffered.allocate(7, 0, 256 * KiB, 256 * KiB, now=0.0)
+    # In flight: declined, nothing changes.
+    assert buffered.consume_head(7, 64 * KiB, now=1.0) is None
+    assert first.consumed_until == 0 and first.last_access == 0.0
+    buffered.mark_filled(first, now=1.0)
+    buffered.mark_filled(second, now=1.0)
+    assert buffered.consume_head(7, 64 * KiB, now=2.0) is first
+    assert (first.consumed_until, first.last_access) == (64 * KiB, 2.0)
+    # The last byte is in the second buffer: declined (the caller
+    # falls back to find_in_stream and the walk).
+    assert buffered.consume_head(7, 320 * KiB, now=3.0) is None
+    # Finishing the head releases it; the next buffer becomes the head.
+    assert buffered.consume_head(7, 256 * KiB, now=3.0) is first
+    assert buffered.find_in_stream(7, 0, 1) is None
+    assert buffered.consume_head(7, 320 * KiB, now=4.0) is second
+    assert buffered.consume_head(8, 64 * KiB, now=4.0) is None
+
+
 def test_on_change_callback():
     deltas = []
     buffered = BufferedSet(memory_budget=4 * MiB,

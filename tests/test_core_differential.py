@@ -37,8 +37,10 @@ from repro.core.classifier import SequentialClassifier
 from repro.core.dispatch import DispatchSet
 from repro.core.params import ServerParams
 from repro.core.policies import OffsetAwarePolicy, RoundRobinPolicy
+from repro.core.server import StreamServer
 from repro.core.stream import StreamQueue, StreamState
 from repro.io import IOKind, IORequest
+from repro.sim import Simulator
 
 KiB = 1024
 
@@ -433,6 +435,186 @@ def test_buffered_set_matches_reference_under_random_ops(seed):
     assert harness.ref_releases
 
 
+def _walk_consume(instance, stream_id: int, end: int, now: float) -> None:
+    """``StreamServer._consume``: advance consumption over the stream's
+    buffers, oldest first, up to ``end``."""
+    for buffer in instance.stream_buffers(stream_id):
+        offset = buffer.offset
+        if offset >= end:
+            break
+        instance.consume(buffer, offset, min(buffer.end, end) - offset, now)
+
+
+class _SequentialHarness(_BufferedHarness):
+    """Adds streams shaped the way the server shapes them.
+
+    A read-ahead stream has at most one fetch in flight, allocated at
+    its fetch frontier, so its buffers are disjoint and in offset
+    order; an aborted fetch is discarded before the frontier rewinds.
+    Its client reads sequentially. The indexed side serves a read the
+    way ``StreamServer._accept`` does: ``consume_head`` first, and the
+    lookup plus walk only when that declines. The reference side always
+    does the lookup plus walk. Reads whose buffer is still in flight
+    wait for the fill and are then walked on both sides, as
+    ``_buffer_filled`` does. The random ops of the base harness keep
+    running on these streams too (fills, consumes, discards, collects).
+    """
+
+    SEQ_STREAMS = (11, 12, 13)
+    #: Read-ahead window: how far a fetch may run ahead of the client.
+    WINDOW = 96 * KiB
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.fetch_next = {sid: 0 for sid in self.SEQ_STREAMS}
+        self.client_next = {sid: 0 for sid in self.SEQ_STREAMS}
+        #: stream -> (ref_buffer, new_buffer) of its in-flight fetch.
+        self.in_flight: Dict[int, tuple] = {}
+        #: stream -> read ends waiting for the in-flight fetch.
+        self.waiting: Dict[int, List[int]] = {}
+        self.counts = {"head": 0, "finished": 0, "fallback": 0,
+                       "spanning": 0, "waited": 0, "aborted": 0,
+                       "rekeyed": 0}
+
+    def op_fetch(self):
+        stream_id = self.rng.choice(self.SEQ_STREAMS)
+        if stream_id in self.in_flight \
+                or self.fetch_next[stream_id] \
+                - self.client_next[stream_id] > self.WINDOW:
+            return
+        size = self.rng.choice([16 * KiB, 32 * KiB])
+        if not self.ref.can_allocate(size):
+            return
+        offset = self.fetch_next[stream_id]
+        ref_buf = self.ref.allocate(stream_id, 0, offset, size, self.now)
+        new_buf = self.new.allocate(stream_id, 0, offset, size, self.now)
+        ordinal = len(self.pairs)
+        self.ref_ordinals[id(ref_buf)] = ordinal
+        self.new_ordinals[id(new_buf)] = ordinal
+        self.pairs.append((ref_buf, new_buf))
+        self.fetch_next[stream_id] = offset + size
+        self.in_flight[stream_id] = (ref_buf, new_buf)
+
+    def op_complete_fetch(self):
+        if not self.in_flight:
+            return
+        stream_id = self.rng.choice(sorted(self.in_flight))
+        ref_buf, new_buf = self.in_flight.pop(stream_id)
+        self.ref.mark_filled(ref_buf, self.now)
+        self.new.mark_filled(new_buf, self.now)
+        for end in self.waiting.pop(stream_id, []):
+            self.counts["waited"] += 1
+            _walk_consume(self.ref, stream_id, end, self.now)
+            _walk_consume(self.new, stream_id, end, self.now)
+
+    def op_abort_fetch(self):
+        if not self.in_flight:
+            return
+        stream_id = self.rng.choice(sorted(self.in_flight))
+        ref_buf, new_buf = self.in_flight.pop(stream_id)
+        self.ref.discard(ref_buf)
+        self.new.discard(new_buf)
+        self.waiting.pop(stream_id, None)
+        # The reads that waited on it fail; the client moves on and
+        # the stream refetches from the failed offset.
+        self.fetch_next[stream_id] = min(self.fetch_next[stream_id],
+                                         ref_buf.offset)
+        self.counts["aborted"] += 1
+
+    def op_read(self):
+        stream_id = self.rng.choice(self.SEQ_STREAMS)
+        start = self.client_next[stream_id]
+        end = start + self.rng.choice([4 * KiB, 8 * KiB, 12 * KiB,
+                                       24 * KiB])
+        if end > self.fetch_next[stream_id]:
+            return  # beyond the fetch frontier: queued, not a lookup
+        self.client_next[stream_id] = end
+        ref_hit = self.ref.find_in_stream(stream_id, end - 1, 1)
+        spans = sum(1 for buffer in self.ref.stream_buffers(stream_id)
+                    if start < buffer.end and buffer.offset < end)
+        head = self.new.consume_head(stream_id, end, self.now)
+        new_hit = head if head is not None \
+            else self.new.find_in_stream(stream_id, end - 1, 1)
+        assert self._ordinal(self.ref_ordinals, ref_hit) \
+            == self._ordinal(self.new_ordinals, new_hit)
+        if ref_hit is None:
+            return  # reclaimed: the server reads it directly
+        if not ref_hit.filled:
+            assert head is None
+            self.waiting.setdefault(stream_id, []).append(end)
+            return
+        _walk_consume(self.ref, stream_id, end, self.now)
+        if head is not None:
+            self.counts["head"] += 1
+            self.counts["finished"] += head.buffer_id \
+                not in self.new._buffers
+        else:
+            self.counts["fallback"] += 1
+            self.counts["spanning"] += spans > 1
+            _walk_consume(self.new, stream_id, end, self.now)
+
+    def op_idle_collect(self):
+        """Let time pass, then collect: an entry older than its
+        buffer's last read is re-keyed, not taken as expired."""
+        self.now += self.rng.uniform(0.5, 4.0)
+        timeout = self.rng.choice([0.75, 1.5, 3.0])
+        for key, buffer_id in self.new._idle_heap:
+            buffer = self.new._buffers.get(buffer_id)
+            if buffer is not None and key < buffer.last_access \
+                    and self.now - key >= timeout:
+                self.counts["rekeyed"] += 1
+        assert self.ref.collect(self.now, timeout) \
+            == self.new.collect(self.now, timeout)
+
+    def check(self):
+        super().check()
+        consumed = [(ref_buf.consumed_until, ref_buf.last_access)
+                    for ref_buf, _new in self.pairs]
+        assert consumed == [(new_buf.consumed_until, new_buf.last_access)
+                            for _ref, new_buf in self.pairs]
+        for stream_id in self.STREAMS + self.SEQ_STREAMS:
+            oldest = self.ref.stream_buffers(stream_id)[:1]
+            assert self._ordinal(self.ref_ordinals, (oldest or [None])[0]) \
+                == self._ordinal(self.new_ordinals,
+                                 self.new._heads.get(stream_id))
+        # One idle-heap entry per filled buffer, keyed no later than
+        # its last read.
+        keys: Dict[int, List[float]] = {}
+        for key, buffer_id in self.new._idle_heap:
+            keys.setdefault(buffer_id, []).append(key)
+        for buffer in self.new._buffers.values():
+            if buffer.filled:
+                assert min(keys[buffer.buffer_id]) <= buffer.last_access
+
+    OPS = (
+        (_BufferedHarness.op_allocate, 6),
+        (_BufferedHarness.op_fill, 3),
+        (_BufferedHarness.op_consume, 3),
+        (_BufferedHarness.op_find, 3),
+        (_BufferedHarness.op_find_in_stream, 3),
+        (_BufferedHarness.op_collect, 3),
+        (_BufferedHarness.op_release_stream, 2),
+        (_BufferedHarness.op_discard, 2),
+        (op_fetch, 30),
+        (op_complete_fetch, 30),
+        (op_abort_fetch, 2),
+        (op_read, 80),
+        (op_idle_collect, 3),
+    )
+
+
+@pytest.mark.parametrize("seed", [2, 19, 314, 8080])
+def test_head_hit_matches_reference_lookup_and_walk(seed):
+    harness = _SequentialHarness(seed)
+    harness.run(600)
+    counts = harness.counts
+    # Every path the server's staged branch can take was exercised.
+    assert counts["head"] > 30, counts
+    assert counts["finished"] > 5, counts
+    for path in ("fallback", "spanning", "waited", "aborted", "rekeyed"):
+        assert counts[path] > 0, counts
+
+
 def test_buffered_set_find_tie_breaks_to_oldest_overlap():
     """Overlapping spans on one disk: both implementations return the
     oldest (lowest-id) containing buffer."""
@@ -719,3 +901,93 @@ def test_idle_candidates_empty_and_boundary_cases():
     # reference comparison.
     assert classifier.idle_candidates(11.0, 1.0) == [stream]
     assert classifier.idle_candidates(10.9, 1.0) == []
+
+
+class _LoggedClassifier(SequentialClassifier):
+    """Records, per GC cycle, what the reference GC would drop and what
+    the real one dropped.
+
+    ``idle_candidates`` is the first thing a GC cycle asks the
+    classifier about streams, so the reference decision is taken there,
+    before the cycle changes anything: every live stream idle for
+    ``timeout`` and not waiting for data, in creation order.
+    """
+
+    __slots__ = ("expected", "dropped", "visits")
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.expected: List[List[StreamQueue]] = []
+        self.dropped: List[List[StreamQueue]] = []
+        self.visits = 0
+
+    def idle_candidates(self, now, timeout):
+        self.expected.append(
+            [stream for stream in _reference_idle_scan(self, now, timeout)
+             if not stream.has_demand])
+        self.dropped.append([])
+        candidates = super().idle_candidates(now, timeout)
+        self.visits += len(candidates)
+        return candidates
+
+    def drop_stream(self, stream):
+        self.dropped[-1].append(stream)
+        super().drop_stream(stream)
+
+
+class _NoDevice:
+    capacity_bytes = 1 << 40
+
+    def submit(self, request):  # pragma: no cover - never called
+        raise AssertionError("the GC test issues no I/O")
+
+
+@pytest.mark.parametrize("seed", [4, 23, 777])
+def test_gc_parking_keeps_reference_drops(seed):
+    """The GC parks idle streams that still have demand instead of
+    re-walking them every cycle. Each cycle must still drop exactly the
+    streams, in exactly the order, the reference full scan drops; a
+    stream that was parked is dropped in the first cycle after its
+    demand drains, unless a request routes to it first."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    params = ServerParams()
+    server = StreamServer(sim, _NoDevice(), params,
+                          classifier=_LoggedClassifier(params))
+    classifier = server.classifier
+    live: List[StreamQueue] = []
+    parked_peak = 0
+    unparked = 0
+    for _ in range(500):
+        sim.run(until=sim.now + rng.uniform(0.0, 1.6))
+        live = [stream for stream in live
+                if stream.stream_id in classifier.streams]
+        choice = rng.random()
+        if choice < 0.15 or not live:
+            stream = StreamQueue(rng.randrange(4),
+                                 rng.randrange(1 << 20) * (64 * KiB),
+                                 sim.now)
+            classifier._register_stream(stream)
+            live.append(stream)
+        elif choice < 0.45:
+            stream = rng.choice(live)
+            routed = classifier.route(
+                _read(stream.disk_id, stream.client_next), sim.now)
+            assert routed is stream
+            if rng.random() < 0.5:
+                # The request outran the staged data: it waits.
+                stream.pending.append((None, None))
+        elif choice < 0.55:
+            waiting = [stream for stream in live if stream.pending]
+            if waiting:
+                # Its data arrived: the server serves the queue and
+                # unparks the stream on drain.
+                stream = rng.choice(waiting)
+                unparked += stream.stream_id in classifier._parked
+                stream.pending.clear()
+                classifier.unpark(stream)
+        server.gc.ensure_running()
+        parked_peak = max(parked_peak, len(classifier._parked))
+    assert classifier.expected == classifier.dropped
+    assert sum(map(len, classifier.dropped)) > 20
+    assert parked_peak > 0 and unparked > 0

@@ -131,9 +131,9 @@ def test_fill_landing_before_bootstrap_turns_miss_into_hit(spawned):
 
 # -- StreamServer ------------------------------------------------------------
 
-def _read(offset, size=64 * KiB):
+def _read(offset, size=64 * KiB, stream_id=1):
     return IORequest(kind=IOKind.READ, disk_id=0, offset=offset, size=size,
-                     stream_id=1)
+                     stream_id=stream_id)
 
 
 def test_server_memory_hit_spawns_no_process(spawned):
@@ -172,6 +172,43 @@ def test_server_memory_hit_spawns_no_process(spawned):
         seen["submitted"] + server.params.completion_copy_s
     assert seen["complete_time"] == seen["resumed"]
     assert seen["completed_at_resume"] == seen["completed"] + 1
+
+
+def test_overlapping_staged_hits_complete_in_start_order():
+    """Two copies in flight at once: each completes its own request,
+    exactly ``completion_copy_s`` after it started, first in first out
+    (the server's copy FIFO)."""
+    sim = Simulator()
+    server = StreamServer(sim, _Device(sim), ServerParams(
+        read_ahead=1 * MiB, memory_budget=16 * MiB,
+        requests_per_residency=1))
+    copy_s = server.params.completion_copy_s
+    starts = {1: 0, 2: 32 * MiB}
+
+    def stage(stream_id):
+        offset = starts[stream_id]
+        while offset < starts[stream_id] + 1 * MiB:
+            yield server.submit(_read(offset, stream_id=stream_id))
+            offset += 64 * KiB
+
+    for stream_id in starts:
+        sim.run_until_event(sim.process(stage(stream_id)))
+    sim.run(until=sim.now + 0.1)  # let both read-ahead fetches fill
+    requests = [_read(starts[stream_id] + 1 * MiB, stream_id=stream_id)
+                for stream_id in starts]
+    for request in requests:
+        buffer = server.buffered.find(0, request.offset, request.size)
+        assert buffer is not None and buffer.filled
+    completed = []
+    first = server.submit(requests[0])
+    first.callbacks.append(lambda event: completed.append(event.value))
+    sim.run(until=sim.now + copy_s / 2)
+    second = server.submit(requests[1])
+    second.callbacks.append(lambda event: completed.append(event.value))
+    sim.run_until_event(second)
+    assert completed == requests
+    for request in requests:
+        assert request.complete_time == request.submit_time + copy_s
 
 
 # -- Figure 2 ----------------------------------------------------------------

@@ -8,19 +8,23 @@ experiment at 100, 1k and 10k streams: every stream issues the same
 ``per_stream`` sequential 64 KiB reads, so only the number of streams
 held at once changes.
 
-The tier-1 pin counts kernel events per completed request over a
-zero-cost stub device. The count is the same on every machine and
-event core, so the band can be tight: an O(streams) rescan that
-schedules work shows up as a rising count. The ``slow`` test repeats
-the count over real drives and adds a same-process wall-time ratio
-between the 10k and the 100 stream run.
+The tier-1 pins count over a zero-cost stub device: kernel events per
+completed request, and streams the GC's idle walk visits per completed
+request. Both counts are the same on every machine and event core, so
+the bands can be tight: an O(streams) rescan that schedules work shows
+up as a rising event count, and one that only walks shows up as rising
+visits. The ``slow`` test repeats the event count over real drives and
+adds a same-process wall-time ratio between the 10k and the 100 stream
+run.
 """
 
+import functools
 import gc
 import time
 
 import pytest
 
+from repro.core.classifier import SequentialClassifier
 from repro.core.params import ServerParams
 from repro.core.server import StreamServer
 from repro.disk.drive import DiskDrive, DriveConfig
@@ -36,10 +40,28 @@ SIZE = 64 * KiB
 NUM_DISKS = 8
 
 
+class _CountingClassifier(SequentialClassifier):
+    """Counts the streams the GC's idle walk returns, over all cycles."""
+
+    __slots__ = ("visits",)
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.visits = 0
+
+    def idle_candidates(self, now, timeout):
+        candidates = super().idle_candidates(now, timeout)
+        self.visits += len(candidates)
+        return candidates
+
+
 def _run_clients(sim, device, streams, per_stream):
     """``streams`` sequential readers through a StreamServer on
-    ``device``; returns kernel events per completed request."""
-    server = StreamServer(sim, device, ServerParams(memory_budget=64 * MiB))
+    ``device``; returns kernel events and GC idle-walk visits, each
+    per completed request."""
+    params = ServerParams(memory_budget=64 * MiB)
+    classifier = _CountingClassifier(params)
+    server = StreamServer(sim, device, params, classifier=classifier)
     per_disk = -(-streams // NUM_DISKS)  # ceil
     spacing = (device.capacity_bytes // per_disk) // MiB * MiB \
         - (per_stream + 1) * SIZE
@@ -59,13 +81,14 @@ def _run_clients(sim, device, streams, per_stream):
     sim.run_until_event(sim.all_of(processes))
     completed = server.stats.counter("completed").count
     assert completed == streams * per_stream
-    return sim._sequence / completed
+    return sim._sequence / completed, classifier.visits / completed
 
 
-def streams_scale(streams: int, per_stream: int = PER_STREAM) -> float:
-    """Events per request over a device that completes every request
-    after a fixed 200 µs: no geometry, cache or mechanics, so the count
-    is the server's own per-request work."""
+@functools.lru_cache(maxsize=None)
+def streams_scale(streams: int, per_stream: int = PER_STREAM):
+    """(events, idle-walk visits) per request over a device that
+    completes every request after a fixed 200 µs: no geometry, cache or
+    mechanics, so the counts are the server's own per-request work."""
     sim = Simulator()
     latency = 200e-6
 
@@ -79,8 +102,7 @@ def streams_scale(streams: int, per_stream: int = PER_STREAM) -> float:
     return _run_clients(sim, _FixedLatencyDisks(), streams, per_stream)
 
 
-def streams_scale_drive(streams: int,
-                        per_stream: int = PER_STREAM) -> float:
+def streams_scale_drive(streams: int, per_stream: int = PER_STREAM):
     """Events per request over eight real drives (DiskSim base spec,
     EXPECTED rotation): every fetch pays queue policy, cylinder mapping,
     cache lookup and completion."""
@@ -104,8 +126,19 @@ def _spread(values):
 
 
 def test_events_per_request_flat_across_stream_counts():
-    counts = [streams_scale(streams) for streams in POPULATIONS]
+    counts = [streams_scale(streams)[0] for streams in POPULATIONS]
     assert _spread(counts) <= 0.05, dict(zip(POPULATIONS, counts))
+
+
+def test_gc_idle_walk_visits_per_request_flat_across_stream_counts():
+    """A stream the GC finds idle while its clients wait is parked, not
+    walked again every cycle. Here that leaves under two walks per
+    stream over its life (mostly: parked once, dropped once), so visits
+    per request stay under ``2 / PER_STREAM`` at every population: 0 /
+    0.46 / 0.50 for 100 / 1k / 10k streams. Re-walking waiting streams
+    every cycle gave 0 / 1.8 / 19.4."""
+    visits = [streams_scale(streams)[1] for streams in POPULATIONS]
+    assert max(visits) < 2 / PER_STREAM, dict(zip(POPULATIONS, visits))
 
 
 @pytest.mark.slow
@@ -115,7 +148,7 @@ def test_real_drive_cost_flat_across_stream_counts():
     for streams in POPULATIONS:
         gc.collect()
         started = time.perf_counter()
-        counts.append(streams_scale_drive(streams))
+        counts.append(streams_scale_drive(streams)[0])
         per_request_s[streams] = (time.perf_counter() - started) \
             / (streams * PER_STREAM)
     assert _spread(counts) <= 0.15, dict(zip(POPULATIONS, counts))

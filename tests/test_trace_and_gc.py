@@ -177,3 +177,51 @@ def test_gc_keeps_stream_with_pending_demand():
         size=64 * KiB, stream_id=1))
     sim.run_until_event(pending_event, limit=30.0)
     assert pending_event.ok
+
+
+class _FixedLatencyDevice:
+    """Completes every request after ``latency`` seconds."""
+
+    capacity_bytes = 64 * MiB
+
+    def __init__(self, sim, latency):
+        self.sim = sim
+        self.latency = latency
+
+    def submit(self, request):
+        return self.sim.timeout(self.latency, request)
+
+
+def test_gc_drops_parked_stream_in_first_cycle_after_its_demand_drains():
+    """A stream idle past ``stream_timeout`` while its client waits is
+    parked, not dropped. Serving the client unparks it, and the next
+    cycle drops it, as a full scan of every stream would."""
+    sim = Simulator()
+    device = _FixedLatencyDevice(sim, 1e-3)
+    server = StreamServer(sim, device, ServerParams(
+        read_ahead=1 * MiB, memory_budget=32 * MiB,
+        requests_per_residency=1, gc_period=0.25, buffer_timeout=0.5,
+        stream_timeout=1.0))
+    detect_stream(sim, server, count=6)
+    stream = next(iter(server.classifier.streams.values()))
+    device.latency = 2.0
+    # Read on until a request outruns the staged data and has to wait
+    # on the stream for a new fetch.
+    offset = stream.client_next
+    while True:
+        waiting = server.submit(IORequest(
+            kind=IOKind.READ, disk_id=0, offset=offset, size=64 * KiB,
+            stream_id=1))
+        offset += 64 * KiB
+        if stream.pending:
+            break
+        sim.run_until_event(waiting)
+    sim.run(until=sim.now + 1.5)  # idle 1.5 s, its fetch still out
+    assert stream.stream_id in server.classifier._parked
+    sim.run_until_event(waiting)
+    assert not stream.pending
+    assert stream.stream_id not in server.classifier._parked
+    assert server.classifier.live_streams == 1
+    sim.run(until=sim.now + server.params.gc_period)
+    assert server.classifier.live_streams == 0
+    assert server.gc.streams_dropped == 1
