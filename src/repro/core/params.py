@@ -15,7 +15,7 @@ paper's "statically adjust to the storage node configuration" rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.units import KiB, MiB, SECTOR_BYTES
@@ -56,8 +56,6 @@ class ServerParams:
     gc_period / buffer_timeout / stream_timeout:
         Garbage-collection cadence and idleness thresholds for staged
         buffers and classified-but-quiet streams.
-    completion_copy_s:
-        CPU time to complete one client request from a staged buffer.
     """
 
     read_ahead: int = 1 * MiB
@@ -72,32 +70,22 @@ class ServerParams:
     gc_period: float = 1.0
     buffer_timeout: float = 4.0
     stream_timeout: float = 8.0
-    completion_copy_s: float = 10e-6
     #: Extension (DESIGN.md §5): coalesce sequential write streams into
     #: large write-behind flushes instead of passing writes through.
     coalesce_writes: bool = False
     write_coalesce_bytes: int = 1024 * 1024
     write_memory_budget: int = 64 * 1024 * 1024
-    #: Fault/degradation policies (DESIGN.md §6). All default *off* so
-    #: the fault-free request path is bit-identical to the historical
-    #: server; the chaos experiment and production profiles turn them on.
-    #: ``request_deadline_s`` bounds each downstream request's service
-    #: time (0 disables; expiry raises ``RequestTimeout`` to the retry
-    #: policy). ``max_retries`` bounds per-request retries of *transient*
-    #: errors, spaced by exponential backoff from ``retry_backoff_s``
-    #: (doubling per attempt, capped at ``retry_backoff_cap_s``) with
-    #: ``retry_backoff_jitter`` multiplicative jitter drawn from a
-    #: ``retry_seed``-seeded RNG (deterministic per run).
+    #: Fault/degradation policies (DESIGN.md §6). Both default *off*
+    #: so the fault-free request path is bit-identical to the
+    #: historical server; the chaos experiment turns them on.
+    #: ``max_retries`` bounds per-request retries of *transient* errors,
+    #: spaced by the seeded exponential backoff of
+    #: :mod:`repro.core.server` (``RETRY_BACKOFF_S`` and friends).
     #: ``quarantine_threshold`` consecutive failed read-ahead fetches
     #: quarantine the stream: it leaves the dispatch machinery, its
     #: staged pages are reclaimed, and its client falls back to the
     #: direct path (0 disables).
-    request_deadline_s: float = 0.0
     max_retries: int = 0
-    retry_backoff_s: float = 2e-3
-    retry_backoff_cap_s: float = 0.25
-    retry_backoff_jitter: float = 0.5
-    retry_seed: int = 0
     quarantine_threshold: int = 0
     #: Open-loop admission control (DESIGN.md §9). Default *off* (0 =
     #: unbounded) so the fault-free path stays bit-identical.
@@ -105,15 +93,11 @@ class ServerParams:
     #: overflow waits in a bounded FIFO of ``admission_queue_depth``
     #: entries. When that queue is also full the *oldest* waiting
     #: request is shed (FIFO shedding keeps the queue fresh) with an
-    #: ``AdmissionShedError`` carrying a retry-after hint:
-    #: ``shed_backoff_s`` with ``shed_backoff_jitter`` multiplicative
-    #: jitter from an ``admission_seed``-seeded RNG, scaled by
-    #: dispatch-set load.
+    #: ``AdmissionShedError`` carrying a seeded retry-after hint
+    #: (:mod:`repro.core.server`'s ``SHED_BACKOFF_S`` and friends),
+    #: scaled by dispatch-set load.
     admission_limit: int = 0
     admission_queue_depth: int = 0
-    shed_backoff_s: float = 5e-3
-    shed_backoff_jitter: float = 0.5
-    admission_seed: int = 0
 
     def __post_init__(self):
         if self.read_ahead < 0 or self.read_ahead % SECTOR_BYTES:
@@ -143,18 +127,8 @@ class ServerParams:
         if self.dispatch_width is not None and self.dispatch_width < 1:
             raise ValueError(
                 f"dispatch_width must be >= 1: {self.dispatch_width}")
-        if self.request_deadline_s < 0:
-            raise ValueError(
-                f"request_deadline_s must be >= 0: "
-                f"{self.request_deadline_s}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
-        if self.retry_backoff_s <= 0 or self.retry_backoff_cap_s <= 0:
-            raise ValueError("retry backoff times must be positive")
-        if not 0.0 <= self.retry_backoff_jitter < 1.0:
-            raise ValueError(
-                f"retry_backoff_jitter must be in [0, 1): "
-                f"{self.retry_backoff_jitter}")
         if self.quarantine_threshold < 0:
             raise ValueError(
                 f"quarantine_threshold must be >= 0: "
@@ -166,13 +140,6 @@ class ServerParams:
             raise ValueError(
                 f"admission_queue_depth must be >= 0: "
                 f"{self.admission_queue_depth}")
-        if self.shed_backoff_s <= 0:
-            raise ValueError(
-                f"shed_backoff_s must be positive: {self.shed_backoff_s}")
-        if not 0.0 <= self.shed_backoff_jitter < 1.0:
-            raise ValueError(
-                f"shed_backoff_jitter must be in [0, 1): "
-                f"{self.shed_backoff_jitter}")
         if self.read_ahead and self.memory_budget < self.residency_bytes:
             raise ValueError(
                 f"memory budget {self.memory_budget} below one residency "

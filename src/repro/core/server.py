@@ -33,17 +33,30 @@ from repro.core.gc import GarbageCollector
 from repro.core.params import ServerParams
 from repro.core.policies import ReplacementPolicy
 from repro.core.stream import StreamQueue
-from repro.faults.errors import (
-    AdmissionShedError,
-    RequestTimeout,
-    is_transient,
-)
+from repro.faults.errors import AdmissionShedError, is_transient
 from repro.io import BlockDevice, IOKind, IORequest
 from repro.sim import Simulator
 from repro.sim.events import Event
 from repro.sim.stats import StatsRegistry
 
 __all__ = ["ServerReport", "StreamServer"]
+
+#: CPU time to complete one client request from a staged buffer.
+COMPLETION_COPY_S = 10e-6
+#: Retry backoff of the ``max_retries`` policy (DESIGN.md §6): retry n
+#: waits ``min(RETRY_BACKOFF_S × 2^(n-1), RETRY_BACKOFF_CAP_S)``, times
+#: ``1 ± RETRY_BACKOFF_JITTER`` from a per-server
+#: ``random.Random(RETRY_SEED)``.
+RETRY_BACKOFF_S = 2e-3
+RETRY_BACKOFF_CAP_S = 0.25
+RETRY_BACKOFF_JITTER = 0.5
+RETRY_SEED = 0
+#: Retry-after hint of a shed request (DESIGN.md §9): ``SHED_BACKOFF_S``
+#: times ``1 ± SHED_BACKOFF_JITTER`` from a per-server
+#: ``random.Random(ADMISSION_SEED)``, scaled by dispatch-set load.
+SHED_BACKOFF_S = 5e-3
+SHED_BACKOFF_JITTER = 0.5
+ADMISSION_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -128,7 +141,7 @@ class StreamServer:
         self._direct_name = f"{name}.direct"
         self._pump_name = f"{name}.pump"
         self._mem_name = f"{name}.mem"
-        self._copy_s = self.params.completion_copy_s
+        self._copy_s = COMPLETION_COPY_S
         #: (request, event) per staged hit whose copy is in progress, in
         #: the order their copy timeouts fire (see _finish_later); every
         #: copy timeout shares the one bound callback.
@@ -142,24 +155,16 @@ class StreamServer:
         self._c_attached = stats.counter("attached")
         self._c_reclaimed_misses = stats.counter("reclaimed_misses")
         # Fault/degradation policy state (DESIGN.md §6). All counters
-        # stay zero when the policies are off (the default), and the
-        # happy path through _await_device is then byte-for-byte the
-        # historical submit-and-wait, so fault-free runs are
-        # bit-identical to the policy-free server.
-        self._deadline = self.params.request_deadline_s
+        # stay zero when the policies are off (the default), and a
+        # fault-free submission is then one submit-and-wait, so
+        # fault-free runs are bit-identical to the policy-free server.
         self._max_retries = self.params.max_retries
-        #: Hot-path switch: with neither deadline nor retries, the
-        #: submission helper short-circuits to the one-frame historical
-        #: submit-and-wait.
-        self._policies_off = (self._deadline <= 0.0
-                              and self._max_retries == 0)
-        self._retry_rng = random.Random(self.params.retry_seed)
+        self._retry_rng = random.Random(RETRY_SEED)
         self._c_device_errors = stats.counter("device_errors")
         #: Client stream ids barred from coalescing after repeated
         #: fetch failures; their requests take the direct path.
         self._quarantined: Set[int] = set()
         self._c_retries = stats.counter("retries")
-        self._c_timeouts = stats.counter("deadline_timeouts")
         self._c_quarantined = stats.counter("quarantined_streams")
         self._c_quarantine_bypass = stats.counter("quarantine_bypass")
         # Open-loop admission control (DESIGN.md §9). Off by default:
@@ -171,7 +176,7 @@ class StreamServer:
         self._admission_queue_depth = self.params.admission_queue_depth
         self._in_service = 0
         self._admission_queue: deque = deque()
-        self._admission_rng = random.Random(self.params.admission_seed)
+        self._admission_rng = random.Random(ADMISSION_SEED)
         self._c_shed = stats.counter("admission_shed")
         self._c_admission_queued = stats.counter("admission_queued")
         # Ambient observability, captured once. Every hook below guards
@@ -290,11 +295,8 @@ class StreamServer:
 
     def _shed(self, request: IORequest, event: Event) -> None:
         """Fail a request at the admission edge with a backoff hint."""
-        retry_after = self.params.shed_backoff_s
-        jitter = self.params.shed_backoff_jitter
-        if jitter:
-            retry_after *= 1.0 + jitter * (
-                2.0 * self._admission_rng.random() - 1.0)
+        retry_after = SHED_BACKOFF_S * (1.0 + SHED_BACKOFF_JITTER * (
+            2.0 * self._admission_rng.random() - 1.0))
         # Scale the hint by dispatch-set load: the deeper the backlog,
         # the longer a resubmit should wait.
         retry_after *= 1.0 + self.dispatch.load_factor
@@ -402,62 +404,26 @@ class StreamServer:
         self._finish(request, event)
 
     # -- fault policies (DESIGN.md §6) -------------------------------------
-    def _await_device(self, request: IORequest):
-        """One downstream attempt, bounded by the per-request deadline.
-
-        With the deadline disabled (the default) this is exactly the
-        historical submit-and-wait — no extra events, so fault-free runs
-        stay bit-identical. With a deadline, a race between completion
-        and a timeout converts stragglers into :class:`RequestTimeout`
-        (transient: the retry policy may re-issue the request).
-        """
-        completion = self.device.submit(request)
-        if self._deadline <= 0.0:
-            value = yield completion
-            return value
-        expiry = self.sim.timeout(self._deadline)
-        fired = yield self.sim.any_of([completion, expiry])
-        if completion in fired:
-            return fired[completion]
-        self._c_timeouts.add(request.size)
-        if self._obs_on:
-            self._obs.instant_for(request, "server.timeout", "mark",
-                                  self.sim.now,
-                                  args={"deadline_s": self._deadline})
-        raise RequestTimeout(
-            f"{request!r} missed the {self._deadline:g}s deadline")
-
     def _backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with seeded multiplicative jitter."""
-        params = self.params
-        delay = min(params.retry_backoff_s * (2 ** (attempt - 1)),
-                    params.retry_backoff_cap_s)
-        jitter = params.retry_backoff_jitter
-        if jitter:
-            delay *= 1.0 + jitter * (2.0 * self._retry_rng.random() - 1.0)
-        return delay
+        delay = min(RETRY_BACKOFF_S * (2 ** (attempt - 1)),
+                    RETRY_BACKOFF_CAP_S)
+        return delay * (1.0 + RETRY_BACKOFF_JITTER * (
+            2.0 * self._retry_rng.random() - 1.0))
 
     def _submit_with_policy(self, request: IORequest):
-        """Deadline-bounded submission with bounded transient retries.
+        """Device submission with bounded transient retries.
 
         Yield-from helper shared by the direct path and the read-ahead
         fetch path. Permanent errors (and transient errors once
         ``max_retries`` is exhausted) propagate to the caller; every
-        failed attempt lands in the ``device_errors`` counter.
+        failed attempt lands in the ``device_errors`` counter. With
+        ``max_retries == 0`` this is one submit-and-wait.
         """
-        if self._policies_off:
-            # Fast path: the historical submit-and-wait, without the
-            # extra _await_device generator frame per request.
-            try:
-                value = yield self.device.submit(request)
-            except Exception:
-                self._c_device_errors.add(request.size)
-                raise
-            return value
         attempt = 0
         while True:
             try:
-                value = yield from self._await_device(request)
+                value = yield self.device.submit(request)
             except Exception as exc:
                 self._c_device_errors.add(request.size)
                 if attempt < self._max_retries and is_transient(exc):

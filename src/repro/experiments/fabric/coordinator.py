@@ -14,7 +14,8 @@ Dispatch policy (the straggler-aware part, after arXiv 1805.06156):
 
 * every completed *compute* latency updates its worker's EWMA and a
   bounded window whose running **median** is the fabric's notion of a
-  normal point;
+  normal point (:class:`~repro.sim.stats.StragglerTracker`, the
+  estimator the simulated hedged mirror uses too);
 * new tasks go to the idle worker with the lowest EWMA (ties broken by
   worker id, so scheduling is reproducible given identical timings);
 * when the queue is empty but workers are idle, the oldest in-flight
@@ -57,7 +58,6 @@ import logging
 import os
 import selectors
 import socket
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -71,6 +71,7 @@ from repro.experiments.fabric.protocol import (AUTH_ENV, Address,
                                                connect, fabric_secret,
                                                format_address, parse_spec,
                                                send_msg)
+from repro.sim.stats import StragglerTracker
 
 _log = logging.getLogger("repro.fabric")
 
@@ -80,9 +81,6 @@ __all__ = ["Fabric", "FabricError", "MAX_REQUEUES"]
 #: run aborts — a point that reliably kills its worker must not melt
 #: the whole fabric down retrying forever.
 MAX_REQUEUES = 3
-
-#: Completed compute latencies kept for the running median.
-_LATENCY_WINDOW = 64
 
 #: Straggler threshold ``max(_HEDGE_MIN_S, _HEDGE_K x median)`` of a
 #: hedging fabric.
@@ -101,7 +99,7 @@ class _Worker:
     """Coordinator-side connection state for one worker process."""
 
     __slots__ = ("ident", "sock", "frames", "task", "dispatched_at",
-                 "ewma_s", "completed", "hedges_won", "cache_local",
+                 "completed", "hedges_won", "cache_local",
                  "cache_peer", "cache_misses", "computed", "writebacks",
                  "pid", "host", "process")
 
@@ -112,9 +110,6 @@ class _Worker:
         self.frames = FrameBuffer()
         self.task: Optional[int] = None
         self.dispatched_at = 0.0
-        #: EWMA of this worker's compute latencies (0 until first point:
-        #: unproven workers look fast, so they get work immediately).
-        self.ewma_s = 0.0
         self.completed = 0
         self.hedges_won = 0
         self.cache_local = 0
@@ -134,7 +129,7 @@ class _Worker:
 
     def __repr__(self) -> str:
         return (f"<worker {self.ident} pid={self.pid} "
-                f"task={self.task} ewma={self.ewma_s:.3f}s>")
+                f"task={self.task}>")
 
 
 class Fabric:
@@ -177,7 +172,10 @@ class Fabric:
         self._ident = itertools.count(1)
         self._runs = itertools.count(1)
         self._started = False
-        self._latencies: deque = deque(maxlen=_LATENCY_WINDOW)
+        #: Per-worker compute-latency EWMAs (keyed by ident; unproven
+        #: workers look fast, so they get work immediately) and the
+        #: window whose median sets the hedge threshold.
+        self._stragglers = StragglerTracker()
         # Lifetime counters (across runs); surfaced by stats().
         self.completed = 0
         self.hedges_issued = 0
@@ -536,7 +534,8 @@ class Fabric:
                  float(worker.writebacks)),
                 (f"{prefix}.hedges_won", "counter",
                  float(worker.hedges_won)),
-                (f"{prefix}.ewma_seconds", "gauge", worker.ewma_s),
+                (f"{prefix}.ewma_seconds", "gauge",
+                 self._stragglers.ewma(ident)),
             ])
         return rows
 
@@ -616,18 +615,6 @@ class Fabric:
                     obs_context.ingest_payload(payload, worker=ident)
         return values
 
-    # -- pieces used by _RunState ------------------------------------------
-
-    def _observe_latency(self, worker: _Worker, elapsed: float) -> None:
-        worker.ewma_s = (elapsed if worker.ewma_s == 0.0
-                         else 0.7 * worker.ewma_s + 0.3 * elapsed)
-        self._latencies.append(elapsed)
-
-    def _median_latency(self) -> float:
-        if not self._latencies:
-            return self.hedge_min_s
-        return statistics.median(self._latencies)
-
 
 class _RunState:
     """One ``run_tasks`` call: queue, in-flight map, results."""
@@ -673,27 +660,29 @@ class _RunState:
     def _fill_idle(self) -> None:
         """Assign queued tasks, then consider hedging stragglers."""
         fabric = self.fabric
+        workers = fabric._workers
         while self.pending:
-            idle = [w for w in fabric._workers.values() if w.idle]
-            if not idle:
+            fastest = fabric._stragglers.fastest(
+                ident for ident, w in workers.items() if w.idle)
+            if fastest is None:
                 return
-            idle.sort(key=lambda w: (w.ewma_s, w.ident))
             task = self.pending.popleft()
             if task in self.results:
                 continue
-            self._dispatch(idle[0], task)
+            self._dispatch(workers[fastest], task)
         self._maybe_hedge()
 
     def _maybe_hedge(self) -> None:
         fabric = self.fabric
         if not fabric.hedging:
             return
-        idle = sorted((w for w in fabric._workers.values() if w.idle),
-                      key=lambda w: (w.ewma_s, w.ident))
+        workers = fabric._workers
+        idle = [workers[ident] for ident in fabric._stragglers.rank(
+            ident for ident, w in workers.items() if w.idle)]
         if not idle:
             return
-        threshold = max(fabric.hedge_min_s,
-                        fabric.hedge_k * fabric._median_latency())
+        threshold = fabric._stragglers.threshold(fabric.hedge_k,
+                                                 fabric.hedge_min_s)
         now = time.monotonic()
         # Oldest in-flight tasks first; at most two copies each.
         candidates = sorted(
@@ -769,7 +758,7 @@ class _RunState:
         source = message.get("source", "compute")
         elapsed = float(message.get("elapsed", 0.0))
         if source == "compute":
-            fabric._observe_latency(worker, elapsed)
+            fabric._stragglers.observe(worker.ident, elapsed)
         elif source == "local-cache":
             worker.cache_local += 1
             fabric.cache_local_hits += 1

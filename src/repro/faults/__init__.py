@@ -14,7 +14,6 @@ from repro.faults.errors import (
     DiskDeadError,
     MediaError,
     PermanentDeviceError,
-    RequestTimeout,
     TransientDeviceError,
     TransientMediaError,
     is_transient,
@@ -40,7 +39,6 @@ __all__ = [
     "MediaFault",
     "PermanentDeviceError",
     "RandomFaults",
-    "RequestTimeout",
     "StragglerDevice",
     "StragglerProfile",
     "TransientDeviceError",

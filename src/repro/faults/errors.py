@@ -10,14 +10,9 @@ policies care about is *transient* vs *permanent*:
   never heal; retrying wastes a disk's time, so policies surface them
   immediately and degrade around the failed component instead.
 
-:class:`RequestTimeout` is raised by the *server*, not a device: a
-request exceeded its per-request deadline (usually because a straggler
-device inflated its service time). It is transient — the device is
-alive, just slow — so retry policies treat it as retryable.
-
-:class:`AdmissionShedError` is likewise server-raised: the bounded
-admission queue was full and the request was shed at the edge before
-touching any device. It is transient by construction — the client
+:class:`AdmissionShedError` is raised by the *server*, not a device:
+the bounded admission queue was full and the request was shed at the
+edge before touching any device. It is transient by construction — the client
 should back off for the deterministic-jitter hint in ``retry_after_s``
 and resubmit.
 """
@@ -30,7 +25,6 @@ __all__ = [
     "DiskDeadError",
     "MediaError",
     "PermanentDeviceError",
-    "RequestTimeout",
     "TransientDeviceError",
     "TransientMediaError",
     "is_transient",
@@ -59,10 +53,6 @@ class TransientMediaError(TransientDeviceError):
 
 class DiskDeadError(PermanentDeviceError):
     """The whole disk stopped responding (death at time *T*)."""
-
-
-class RequestTimeout(TransientDeviceError):
-    """A request missed its per-request deadline (straggler device)."""
 
 
 class AdmissionShedError(TransientDeviceError):

@@ -3,8 +3,9 @@
 The paper's round-robin dispatch assumes every spindle services requests
 at the same rate; one slow disk inflates the tail for every stream
 mapped to it. This module brings the sweep fabric's straggler policy
-(`repro.experiments.fabric.coordinator`) *inside* the simulated storage
-stack: a :class:`HedgedVolume` is a RAID-1-style mirror over member
+(`repro.experiments.fabric.coordinator`) and its estimator,
+:class:`~repro.sim.stats.StragglerTracker`, *inside* the simulated
+storage stack: a :class:`HedgedVolume` is a RAID-1-style mirror over member
 disks — every member holds a full copy — that
 
 * routes each read to one member, picked either round-robin (the
@@ -36,21 +37,16 @@ exactly (DESIGN.md §9).
 
 from __future__ import annotations
 
-import statistics
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.faults.errors import DiskDeadError
 from repro.io import IORequest, stamp_submit
 from repro.sim import Simulator
 from repro.sim.events import Event
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import StatsRegistry, StragglerTracker
 
 __all__ = ["HedgePolicy", "HedgedVolume"]
-
-#: Latency samples kept for the hedge-trigger median (fabric's shape).
-_LATENCY_WINDOW = 64
 
 _SELECT_POLICIES = ("ewma", "roundrobin")
 
@@ -63,7 +59,8 @@ class HedgePolicy:
     ----------
     select:
         ``"ewma"`` picks the idle member with the lowest latency EWMA
-        (unproven members look fast, matching the fabric's estimator);
+        (unproven members look fast; the estimator is the fabric's
+        :class:`~repro.sim.stats.StragglerTracker`);
         ``"roundrobin"`` rotates over members — the paper's baseline.
     hedge:
         Enable duplicate reads for stragglers. Off by default so a
@@ -71,18 +68,12 @@ class HedgePolicy:
     hedge_k / hedge_min_s:
         A read older than ``max(hedge_min_s, hedge_k × median)`` of the
         recent-latency window earns one hedge to an idle live member.
-    ewma_alpha:
-        Weight of the newest sample in the per-member EWMA.
-    latency_window:
-        Samples kept for the shared completion-latency median.
     """
 
     select: str = "ewma"
     hedge: bool = False
     hedge_k: float = 3.0
     hedge_min_s: float = 2e-3
-    ewma_alpha: float = 0.3
-    latency_window: int = _LATENCY_WINDOW
 
     def __post_init__(self) -> None:
         if self.select not in _SELECT_POLICIES:
@@ -92,12 +83,6 @@ class HedgePolicy:
             raise ValueError(f"hedge_k must be >= 0: {self.hedge_k}")
         if self.hedge_min_s < 0.0:
             raise ValueError(f"hedge_min_s must be >= 0: {self.hedge_min_s}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1]: {self.ewma_alpha}")
-        if self.latency_window < 1:
-            raise ValueError(
-                f"latency_window must be >= 1: {self.latency_window}")
 
 
 class _ReadRace:
@@ -154,12 +139,10 @@ class HedgedVolume:
         self.capacity_bytes = node.capacity_bytes
         self.stats = StatsRegistry()
         self._dead_disks: Set[int] = set()
-        #: per-member latency estimate; 0.0 = unproven (looks fast)
-        self._ewma: Dict[int, float] = {d: 0.0 for d in self.disk_ids}
+        #: per-member latency EWMAs and the hedge-trigger window
+        self._stragglers = StragglerTracker()
         #: copies in flight per member (idle preference + hedging)
         self._inflight: Dict[int, int] = {d: 0 for d in self.disk_ids}
-        self._window: Deque[float] = deque(
-            maxlen=self.policy.latency_window)
         self._rr_next = 0
         # Cached guard so the hedging-off submit path never consults
         # the policy object per request.
@@ -188,20 +171,6 @@ class HedgedVolume:
             self._dead_disks.add(disk_id)
             self.stats.counter("disk_deaths").add()
 
-    # -- estimator (fabric's shape) -----------------------------------------
-    def _observe(self, member: int, elapsed: float) -> None:
-        prev = self._ewma[member]
-        if prev == 0.0:
-            self._ewma[member] = elapsed
-        else:
-            alpha = self.policy.ewma_alpha
-            self._ewma[member] = (1.0 - alpha) * prev + alpha * elapsed
-        self._window.append(elapsed)
-
-    def _hedge_threshold(self) -> float:
-        median = statistics.median(self._window) if self._window else 0.0
-        return max(self.policy.hedge_min_s, self.policy.hedge_k * median)
-
     def _learn(self, member: int, exc: BaseException) -> None:
         if isinstance(exc, DiskDeadError) \
                 and member not in self._dead_disks:
@@ -217,27 +186,22 @@ class HedgedVolume:
                 if disk not in self._dead_disks:
                     return disk
         # EWMA: idle members first, fastest estimate wins, id breaks
-        # ties — the fabric's (ewma, ident) ordering.
+        # ties.
         idle = [d for d in live if not self._inflight[d]]
-        pool = idle or live
-        return min(pool, key=lambda d: (self._ewma[d], d))
+        return self._stragglers.fastest(idle or live)
 
     def _pick_redirect(self, tried: Set[int]) -> Optional[int]:
         """Fastest untried live member, or None when exhausted."""
-        pool = [d for d in self.disk_ids
-                if d not in tried and d not in self._dead_disks]
-        if not pool:
-            return None
-        return min(pool, key=lambda d: (self._ewma[d], d))
+        return self._stragglers.fastest(
+            d for d in self.disk_ids
+            if d not in tried and d not in self._dead_disks)
 
     def _pick_hedge(self, tried: Set[int]) -> Optional[int]:
         """Fastest *idle* untried live member (hedges never queue)."""
-        pool = [d for d in self.disk_ids
-                if d not in tried and d not in self._dead_disks
-                and not self._inflight[d]]
-        if not pool:
-            return None
-        return min(pool, key=lambda d: (self._ewma[d], d))
+        return self._stragglers.fastest(
+            d for d in self.disk_ids
+            if d not in tried and d not in self._dead_disks
+            and not self._inflight[d])
 
     # -- BlockDevice protocol -----------------------------------------------
     def submit(self, request: IORequest) -> Event:
@@ -308,7 +272,7 @@ class HedgedVolume:
                 self.stats.counter("redirects").add()
                 continue
             self._inflight[member] -= 1
-            self._observe(member, self.sim.now - started)
+            self._stragglers.observe(member, self.sim.now - started)
             request.complete_time = self.sim.now
             self.stats.counter("completed").add(request.size)
             event.succeed(request)
@@ -354,7 +318,7 @@ class HedgedVolume:
             self._launch(race, next_member, is_hedge=False)
             return
         self._inflight[member] -= 1
-        self._observe(member, self.sim.now - started)
+        self._stragglers.observe(member, self.sim.now - started)
         race.outstanding -= 1
         if race.decided:
             # The loser of the race: drained deterministically — its
@@ -371,7 +335,9 @@ class HedgedVolume:
 
     def _hedge_timer(self, race: _ReadRace):
         """Issue at most one duplicate copy once the read ages out."""
-        yield self.sim.timeout(self._hedge_threshold())
+        policy = self.policy
+        yield self.sim.timeout(
+            self._stragglers.threshold(policy.hedge_k, policy.hedge_min_s))
         if race.decided or race.outstanding != 1:
             return
         member = self._pick_hedge(race.tried)

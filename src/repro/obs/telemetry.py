@@ -190,9 +190,9 @@ class Telemetry:
         self.add_counter(f"{prefix}.gc_reclaimed_bytes",
                          lambda: server.gc.buffers_reclaimed_bytes)
         self.add_counter(f"{prefix}.gc_cycles", lambda: server.gc.cycles)
-        for counter_name in ("retries", "deadline_timeouts",
-                             "quarantined_streams", "device_errors",
-                             "staged_hits", "direct", "completed"):
+        for counter_name in ("retries", "quarantined_streams",
+                             "device_errors", "staged_hits", "direct",
+                             "completed"):
             counter = stats.counter(counter_name)
             self.add_counter(f"{prefix}.{counter_name}",
                              lambda c=counter: c.count)

@@ -11,7 +11,7 @@ Public surface:
   :class:`~repro.sim.events.AllOf` — things processes ``yield``.
 * :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.Pipe` — contention primitives.
-* :mod:`~repro.sim.stats` — counters, time-weighted gauges, latency samplers.
+* :mod:`~repro.sim.stats` — counters, latency samplers, the straggler tracker.
 * :mod:`~repro.sim.trace` — optional structured event tracing.
 
 Example
@@ -41,11 +41,9 @@ from repro.sim.events import (
 from repro.sim.resources import Pipe, Resource, Store
 from repro.sim.stats import (
     Counter,
-    Histogram,
-    IntervalRate,
     LatencySampler,
     StatsRegistry,
-    TimeWeightedGauge,
+    StragglerTracker,
 )
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -54,9 +52,7 @@ __all__ = [
     "AnyOf",
     "Counter",
     "Event",
-    "Histogram",
     "Interrupt",
-    "IntervalRate",
     "LatencySampler",
     "Pipe",
     "Process",
@@ -64,8 +60,8 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StatsRegistry",
+    "StragglerTracker",
     "Store",
-    "TimeWeightedGauge",
     "Timeout",
     "TraceRecord",
     "Tracer",

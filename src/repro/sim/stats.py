@@ -8,18 +8,24 @@ report time.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+import statistics
+from collections import deque
+from typing import Deque, Dict, Hashable, Iterable, List, Optional
 
 __all__ = [
     "Counter",
-    "Histogram",
-    "IntervalRate",
     "LatencySampler",
+    "STRAGGLER_ALPHA",
+    "STRAGGLER_WINDOW",
     "StatsRegistry",
-    "TimeWeightedGauge",
+    "StragglerTracker",
     "sorted_quantile",
 ]
+
+#: Weight of the newest sample in a :class:`StragglerTracker` EWMA.
+STRAGGLER_ALPHA = 0.3
+#: Recent latencies a :class:`StragglerTracker` keeps for its median.
+STRAGGLER_WINDOW = 64
 
 
 def sorted_quantile(ordered: List[float], q: float) -> float:
@@ -59,78 +65,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name!r} n={self.count} bytes={self.total_bytes}>"
-
-
-class TimeWeightedGauge:
-    """Tracks a level over time and reports its time-weighted mean.
-
-    Used for queue depths, memory in use, dispatch-set occupancy.
-    """
-
-    __slots__ = ("name", "_level", "_last_time", "_area", "_start",
-                 "max_level", "min_level")
-
-    def __init__(self, name: str = "", start_time: float = 0.0,
-                 level: float = 0.0):
-        self.name = name
-        self._level = level
-        self._last_time = start_time
-        self._start = start_time
-        self._area = 0.0
-        self.max_level = level
-        self.min_level = level
-
-    @property
-    def level(self) -> float:
-        """Current instantaneous level."""
-        return self._level
-
-    def set(self, now: float, level: float) -> None:
-        """Move the gauge to ``level`` at simulated time ``now``."""
-        if now < self._last_time:
-            raise ValueError(
-                f"gauge time going backwards: {now} < {self._last_time}")
-        self._area += self._level * (now - self._last_time)
-        self._last_time = now
-        self._level = level
-        self.max_level = max(self.max_level, level)
-        self.min_level = min(self.min_level, level)
-
-    def adjust(self, now: float, delta: float) -> None:
-        """Add ``delta`` to the level at time ``now``."""
-        self.set(now, self._level + delta)
-
-    def mean(self, now: Optional[float] = None) -> float:
-        """Time-weighted mean level from start to ``now`` (default: last)."""
-        end = self._last_time if now is None else now
-        span = end - self._start
-        if span <= 0:
-            return self._level
-        area = self._area + self._level * (end - self._last_time)
-        return area / span
-
-    def merge(self, other: "TimeWeightedGauge") -> None:
-        """Fold another gauge's observation window into this one.
-
-        Shards observe independent windows, so the merged gauge reports
-        the duration-weighted mean of the two windows, the summed
-        instantaneous level (shards track disjoint populations), and the
-        combined extrema. Internally the windows are laid end to end —
-        ``mean()`` stays exact without keeping per-window history.
-        """
-        span_self = self._last_time - self._start
-        span_other = other._last_time - other._start
-        area_self = self.mean() * span_self
-        area_other = other.mean() * span_other
-        self._start = 0.0
-        self._last_time = span_self + span_other
-        self._area = area_self + area_other
-        self._level += other._level
-        self.max_level = max(self.max_level, other.max_level)
-        self.min_level = min(self.min_level, other.min_level)
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name!r} level={self._level:g}>"
 
 
 class LatencySampler:
@@ -248,87 +182,53 @@ class LatencySampler:
                 f"mean={self.mean * 1e3:.3f}ms>")
 
 
-class Histogram:
-    """Fixed-bucket histogram with explicit upper bounds."""
+class StragglerTracker:
+    """Straggler estimator after arXiv 1805.06156, shared by every user.
 
-    __slots__ = ("name", "bounds", "counts", "overflow")
-
-    def __init__(self, bounds: Iterable[float], name: str = ""):
-        self.name = name
-        self.bounds = sorted(bounds)
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bound")
-        self.counts = [0] * len(self.bounds)
-        self.overflow = 0
-
-    def observe(self, value: float) -> None:
-        """Count ``value`` into its bucket (bounds are inclusive uppers)."""
-        index = bisect_left(self.bounds, value)
-        if index >= len(self.bounds):
-            self.overflow += 1
-        else:
-            self.counts[index] += 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram into this one (bounds must match)."""
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"histogram bounds differ: {self.bounds} vs {other.bounds}")
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.overflow += other.overflow
-
-    @property
-    def total(self) -> int:
-        """Total observations including overflow."""
-        return sum(self.counts) + self.overflow
-
-    def as_rows(self) -> List[Tuple[float, int]]:
-        """(upper_bound, count) rows, plus (inf, overflow) if nonzero."""
-        rows = list(zip(self.bounds, self.counts))
-        if self.overflow:
-            rows.append((math.inf, self.overflow))
-        return rows
-
-
-class IntervalRate:
-    """Windowed throughput: bytes recorded per fixed interval.
-
-    Used to drop warm-up intervals and to check steady state.
+    Holds a latency EWMA per member (a worker, a mirror disk) and one
+    bounded window of recent latencies across all members. Members are
+    ranked by ``(ewma, id)``: an unproven member reads 0.0, so it looks
+    fast and gets work first, and ties go to the lower id so a ranking
+    is reproducible. :meth:`threshold` is the age past which an
+    operation counts as a straggler: ``max(min_s, k × window median)``.
     """
 
-    __slots__ = ("interval", "_windows", "_current_start")
+    __slots__ = ("_ewma", "_window")
 
-    def __init__(self, interval: float = 1.0):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.interval = interval
-        self._windows: Dict[int, int] = {}
-        self._current_start = 0.0
+    def __init__(self):
+        self._ewma: Dict[Hashable, float] = {}
+        self._window: Deque[float] = deque(maxlen=STRAGGLER_WINDOW)
 
-    def record(self, now: float, nbytes: int) -> None:
-        """Attribute ``nbytes`` to the window containing ``now``."""
-        window = int(now / self.interval)
-        self._windows[window] = self._windows.get(window, 0) + nbytes
+    def ewma(self, member: Hashable) -> float:
+        """The member's latency EWMA (0.0 until its first sample)."""
+        return self._ewma.get(member, 0.0)
 
-    def rates(self) -> List[Tuple[float, float]]:
-        """(window_start_time, bytes_per_second) for every touched window."""
-        return [(w * self.interval, b / self.interval)
-                for w, b in sorted(self._windows.items())]
+    def observe(self, member: Hashable, elapsed: float) -> None:
+        """Fold one completed latency into the member's EWMA and the window.
 
-    def steady_rate(self, skip_windows: int = 1) -> float:
-        """Mean rate after dropping the first ``skip_windows`` windows."""
-        rows = self.rates()[skip_windows:]
-        if not rows:
-            return 0.0
-        return sum(rate for _start, rate in rows) / len(rows)
+        The first sample seeds the EWMA; later ones blend in with
+        weight :data:`STRAGGLER_ALPHA`.
+        """
+        prev = self._ewma.get(member, 0.0)
+        self._ewma[member] = elapsed if prev == 0.0 else \
+            (1.0 - STRAGGLER_ALPHA) * prev + STRAGGLER_ALPHA * elapsed
+        self._window.append(elapsed)
 
-    def merge(self, other: "IntervalRate") -> None:
-        """Fold another tracker into this one (intervals must match)."""
-        if self.interval != other.interval:
-            raise ValueError(
-                f"intervals differ: {self.interval} vs {other.interval}")
-        for window, nbytes in other._windows.items():
-            self._windows[window] = self._windows.get(window, 0) + nbytes
+    def threshold(self, k: float, min_s: float) -> float:
+        """``max(min_s, k × median)`` of the window (median 0 when empty)."""
+        median = statistics.median(self._window) if self._window else 0.0
+        return max(min_s, k * median)
+
+    def rank(self, members: Iterable[Hashable]) -> List[Hashable]:
+        """``members`` fastest first: by ``(ewma, id)``."""
+        ewma = self._ewma
+        return sorted(members, key=lambda m: (ewma.get(m, 0.0), m))
+
+    def fastest(self, members: Iterable[Hashable]) -> Optional[Hashable]:
+        """The first member of :meth:`rank`, or None when there is none."""
+        ewma = self._ewma
+        return min(members, key=lambda m: (ewma.get(m, 0.0), m),
+                   default=None)
 
 
 class StatsRegistry:
@@ -336,19 +236,12 @@ class StatsRegistry:
 
     def __init__(self):
         self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, TimeWeightedGauge] = {}
 
     def counter(self, name: str) -> Counter:
         """Get or create the named counter."""
         if name not in self.counters:
             self.counters[name] = Counter(name)
         return self.counters[name]
-
-    def gauge(self, name: str, start_time: float = 0.0) -> TimeWeightedGauge:
-        """Get or create the named gauge."""
-        if name not in self.gauges:
-            self.gauges[name] = TimeWeightedGauge(name, start_time=start_time)
-        return self.gauges[name]
 
     def merge(self, other: "StatsRegistry") -> None:
         """Fold another registry into this one, by metric name.
@@ -362,8 +255,6 @@ class StatsRegistry:
         """
         for name, counter in other.counters.items():
             self.counter(name).merge(counter)
-        for name, gauge in other.gauges.items():
-            self.gauge(name).merge(gauge)
 
     def snapshot(self) -> Dict[str, float]:
         """Flat name→value view for quick assertions and reports."""
@@ -371,7 +262,4 @@ class StatsRegistry:
         for name, counter in self.counters.items():
             out[f"{name}.count"] = counter.count
             out[f"{name}.bytes"] = counter.total_bytes
-        for name, gauge in self.gauges.items():
-            out[f"{name}.level"] = gauge.level
-            out[f"{name}.mean"] = gauge.mean()
         return out

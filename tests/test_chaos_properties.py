@@ -1,7 +1,7 @@
 """Randomized chaos properties: the stack under seeded fault schedules.
 
 Every seed builds a different fault mix (probabilistic transients,
-transient/permanent media defects, stragglers, deadlines, quarantine)
+transient/permanent media defects, stragglers, retry depth, quarantine)
 and runs tolerant clients through the full stream-server stack over a
 :class:`~repro.faults.FaultyDevice`. The properties:
 
@@ -71,15 +71,13 @@ def _plan_for(seed: int) -> FaultPlan:
 
 
 def _params_for(seed: int) -> ServerParams:
-    """Seed-dependent policy knobs (retry depth, quarantine, deadline)."""
+    """Seed-dependent policy knobs (retry depth, quarantine)."""
     return ServerParams(
         read_ahead=256 * KiB, dispatch_width=2,
         requests_per_residency=2, memory_budget=16 * MiB,
         gc_period=0.5, buffer_timeout=1.0, stream_timeout=2.0,
         max_retries=seed % 4,
-        retry_seed=seed,
-        quarantine_threshold=(2 if seed % 2 else 0),
-        request_deadline_s=(0.25 if seed % 4 == 2 else 0.0))
+        quarantine_threshold=(2 if seed % 2 else 0))
 
 
 def _chaos_run(seed: int):

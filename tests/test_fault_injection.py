@@ -7,9 +7,13 @@ half covers the server's fault *policies*: bounded retry with seeded
 exponential backoff, retry exhaustion, and stream quarantine.
 """
 
+import random
+
 import pytest
 
 from repro.core import ServerParams, StreamServer
+from repro.core.server import (RETRY_BACKOFF_CAP_S, RETRY_BACKOFF_JITTER,
+                               RETRY_BACKOFF_S, RETRY_SEED)
 from repro.disk import WD800JD
 from repro.disk.mechanics import RotationMode
 from repro.faults import (
@@ -185,34 +189,39 @@ def test_retries_disabled_by_default():
     assert server.stats.counter("retries").count == 0
 
 
-def test_backoff_deterministic_per_seed():
-    """Same retry_seed => identical jittered backoff schedule."""
+def _replica_schedule(attempts):
+    """The backoff schedule rebuilt from the module constants."""
+    rng = random.Random(RETRY_SEED)
+    nominal = [min(RETRY_BACKOFF_S * 2 ** (attempt - 1),
+                   RETRY_BACKOFF_CAP_S) for attempt in attempts]
+    return nominal, [delay * (1.0 + RETRY_BACKOFF_JITTER
+                              * (2.0 * rng.random() - 1.0))
+                     for delay in nominal]
 
-    def delays(seed):
+
+def test_backoff_deterministic_per_seed():
+    """Every server draws its jitter from RETRY_SEED: one schedule."""
+
+    def delays():
         sim = Simulator()
-        server, _ = make_stack(sim, should_fail=lambda r: False,
-                               retry_seed=seed)
+        server, _ = make_stack(sim, should_fail=lambda r: False)
         return [server._backoff_delay(attempt) for attempt in range(1, 9)]
 
-    assert delays(7) == delays(7)
-    assert delays(7) != delays(8)
-    # Exponential-with-cap envelope: jitter is at most +/-50% around
-    # min(base * 2^(attempt-1), cap).
-    params = ServerParams()
-    for attempt, delay in enumerate(delays(7), start=1):
-        nominal = min(params.retry_backoff_s * 2 ** (attempt - 1),
-                      params.retry_backoff_cap_s)
-        assert 0.5 * nominal <= delay <= 1.5 * nominal
+    assert delays() == delays() == _replica_schedule(range(1, 9))[1]
 
 
 def test_backoff_without_jitter_is_exact():
+    """The un-jittered schedule doubles from RETRY_BACKOFF_S up to the
+    RETRY_BACKOFF_CAP_S cap; each delay is it times one jitter draw."""
     sim = Simulator()
-    server, _ = make_stack(sim, should_fail=lambda r: False,
-                           retry_backoff_s=1e-3,
-                           retry_backoff_cap_s=4e-3,
-                           retry_backoff_jitter=0.0)
-    assert [server._backoff_delay(a) for a in range(1, 6)] == \
-        [1e-3, 2e-3, 4e-3, 4e-3, 4e-3]
+    server, _ = make_stack(sim, should_fail=lambda r: False)
+    nominal, expected = _replica_schedule(range(1, 11))
+    assert nominal == [2e-3, 4e-3, 8e-3, 16e-3, 32e-3, 64e-3, 128e-3,
+                       0.25, 0.25, 0.25]
+    assert [server._backoff_delay(a) for a in range(1, 11)] == expected
+    for base, delay in zip(nominal, expected):
+        assert (1.0 - RETRY_BACKOFF_JITTER) * base <= delay \
+            <= (1.0 + RETRY_BACKOFF_JITTER) * base
 
 
 # -- quarantine ------------------------------------------------------------

@@ -63,9 +63,7 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         HedgePolicy(hedge_k=-1.0)
     with pytest.raises(ValueError):
-        HedgePolicy(ewma_alpha=1.5)
-    with pytest.raises(ValueError):
-        HedgePolicy(latency_window=0)
+        HedgePolicy(hedge_min_s=-1.0)
 
 
 def test_volume_rejects_bad_members():

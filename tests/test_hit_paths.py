@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import ServerParams, StreamServer
+from repro.core.server import COMPLETION_COPY_S
 from repro.disk import WD800JD
 from repro.disk.mechanics import RotationMode
 from repro.experiments import SMOKE, fig02_schedulers
@@ -169,20 +170,20 @@ def test_server_memory_hit_spawns_no_process(spawned):
     assert seen["spawned"] == []
     assert server.stats.counter("staged_hits").count == seen["hits"] + 1
     assert seen["resumed"] == \
-        seen["submitted"] + server.params.completion_copy_s
+        seen["submitted"] + COMPLETION_COPY_S
     assert seen["complete_time"] == seen["resumed"]
     assert seen["completed_at_resume"] == seen["completed"] + 1
 
 
 def test_overlapping_staged_hits_complete_in_start_order():
     """Two copies in flight at once: each completes its own request,
-    exactly ``completion_copy_s`` after it started, first in first out
+    exactly ``COMPLETION_COPY_S`` after it started, first in first out
     (the server's copy FIFO)."""
     sim = Simulator()
     server = StreamServer(sim, _Device(sim), ServerParams(
         read_ahead=1 * MiB, memory_budget=16 * MiB,
         requests_per_residency=1))
-    copy_s = server.params.completion_copy_s
+    copy_s = COMPLETION_COPY_S
     starts = {1: 0, 2: 32 * MiB}
 
     def stage(stream_id):

@@ -188,7 +188,3 @@ def test_admission_params_validated():
         ServerParams(admission_limit=-1)
     with pytest.raises(ValueError):
         ServerParams(admission_queue_depth=-1)
-    with pytest.raises(ValueError):
-        ServerParams(shed_backoff_s=0.0)
-    with pytest.raises(ValueError):
-        ServerParams(shed_backoff_jitter=1.0)

@@ -1,18 +1,19 @@
 """Unit tests for metric primitives and the stats registry."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.stats import (
+    STRAGGLER_ALPHA,
+    STRAGGLER_WINDOW,
     Counter,
-    Histogram,
-    IntervalRate,
     LatencySampler,
     StatsRegistry,
-    TimeWeightedGauge,
+    StragglerTracker,
 )
 
 
@@ -44,34 +45,6 @@ def test_counter_merge():
     a.merge(b)
     assert a.count == 3
     assert a.total_bytes == 60
-
-
-# ---------------------------------------------------------------------------
-# TimeWeightedGauge
-# ---------------------------------------------------------------------------
-
-def test_gauge_time_weighted_mean():
-    gauge = TimeWeightedGauge()
-    gauge.set(0.0, 0.0)
-    gauge.set(1.0, 10.0)   # level 0 for [0,1)
-    gauge.set(3.0, 0.0)    # level 10 for [1,3)
-    assert gauge.mean(now=4.0) == pytest.approx((0 * 1 + 10 * 2 + 0 * 1) / 4)
-
-
-def test_gauge_adjust_and_extremes():
-    gauge = TimeWeightedGauge()
-    gauge.adjust(1.0, +5)
-    gauge.adjust(2.0, -3)
-    assert gauge.level == 2
-    assert gauge.max_level == 5
-    assert gauge.min_level == 0
-
-
-def test_gauge_rejects_time_travel():
-    gauge = TimeWeightedGauge()
-    gauge.set(5.0, 1.0)
-    with pytest.raises(ValueError):
-        gauge.set(4.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,79 +172,71 @@ def test_latency_mean_matches_numpy_style_mean(values):
 
 
 # ---------------------------------------------------------------------------
-# Histogram
-# ---------------------------------------------------------------------------
-
-def test_histogram_buckets_and_overflow():
-    hist = Histogram(bounds=[1.0, 2.0, 4.0])
-    for value in (0.5, 1.5, 3.0, 10.0):
-        hist.observe(value)
-    assert hist.counts == [1, 1, 1]
-    assert hist.overflow == 1
-    assert hist.total == 4
-
-
-def test_histogram_boundary_inclusive():
-    hist = Histogram(bounds=[1.0, 2.0])
-    hist.observe(1.0)  # inclusive upper of first bucket
-    assert hist.counts == [1, 0]
-
-
-def test_histogram_rows_include_overflow():
-    hist = Histogram(bounds=[1.0])
-    hist.observe(5.0)
-    rows = hist.as_rows()
-    assert rows[-1][0] == math.inf
-    assert rows[-1][1] == 1
-
-
-def test_histogram_requires_bounds():
-    with pytest.raises(ValueError):
-        Histogram(bounds=[])
-
-
-# ---------------------------------------------------------------------------
-# IntervalRate
-# ---------------------------------------------------------------------------
-
-def test_interval_rate_windows():
-    rate = IntervalRate(interval=1.0)
-    rate.record(0.5, 100)
-    rate.record(0.9, 100)
-    rate.record(1.5, 300)
-    rows = dict(rate.rates())
-    assert rows[0.0] == pytest.approx(200.0)
-    assert rows[1.0] == pytest.approx(300.0)
-
-
-def test_interval_rate_steady_skips_warmup():
-    rate = IntervalRate(interval=1.0)
-    rate.record(0.5, 1000)   # warm-up window
-    rate.record(1.5, 100)
-    rate.record(2.5, 100)
-    assert rate.steady_rate(skip_windows=1) == pytest.approx(100.0)
-
-
-def test_interval_rate_validation():
-    with pytest.raises(ValueError):
-        IntervalRate(interval=0)
-
-
-# ---------------------------------------------------------------------------
 # StatsRegistry
 # ---------------------------------------------------------------------------
 
 def test_registry_reuses_named_metrics():
     registry = StatsRegistry()
     assert registry.counter("x") is registry.counter("x")
-    assert registry.gauge("g") is registry.gauge("g")
 
 
 def test_registry_snapshot_shape():
     registry = StatsRegistry()
     registry.counter("io").add(512)
-    registry.gauge("queue").set(1.0, 3)
     snap = registry.snapshot()
-    assert snap["io.count"] == 1
-    assert snap["io.bytes"] == 512
-    assert snap["queue.level"] == 3
+    assert snap == {"io.count": 1, "io.bytes": 512}
+
+
+# ---------------------------------------------------------------------------
+# StragglerTracker
+# ---------------------------------------------------------------------------
+
+def test_straggler_first_sample_seeds_ewma():
+    tracker = StragglerTracker()
+    assert tracker.ewma("a") == 0.0
+    tracker.observe("a", 0.125)
+    assert tracker.ewma("a") == 0.125
+    assert tracker.ewma("b") == 0.0
+
+
+def test_straggler_ewma_bit_equal_to_reference_blend():
+    rng = random.Random(1805)
+    tracker = StragglerTracker()
+    expected = None
+    for _ in range(500):
+        sample = rng.expovariate(50.0)
+        tracker.observe(7, sample)
+        expected = sample if expected is None else \
+            (1.0 - 0.3) * expected + 0.3 * sample
+        assert tracker.ewma(7) == expected
+    assert STRAGGLER_ALPHA == 0.3
+
+
+def test_straggler_window_holds_at_most_64_samples():
+    tracker = StragglerTracker()
+    assert STRAGGLER_WINDOW == 64
+    for index in range(200):
+        tracker.observe(index % 3, float(index))
+    assert len(tracker._window) == 64
+    # Only the newest 64 samples (136..199) count: median 167.5.
+    assert tracker.threshold(1.0, 0.0) == 167.5
+
+
+def test_straggler_threshold():
+    tracker = StragglerTracker()
+    assert tracker.threshold(3.0, 1.0) == 1.0  # empty window: min_s
+    for sample in (0.1, 0.2, 0.9):
+        tracker.observe(0, sample)
+    assert tracker.threshold(3.0, 0.0) == pytest.approx(0.6)
+    assert tracker.threshold(3.0, 1.0) == 1.0
+
+
+def test_straggler_ranks_by_ewma_then_id():
+    tracker = StragglerTracker()
+    assert tracker.rank([3, 1, 2]) == [1, 2, 3]  # all unproven: by id
+    tracker.observe(1, 0.5)
+    tracker.observe(3, 0.5)
+    tracker.observe(2, 0.2)
+    assert tracker.rank([3, 1, 2, 4]) == [4, 2, 1, 3]
+    assert tracker.fastest([3, 1]) == 1
+    assert tracker.fastest([]) is None

@@ -12,9 +12,7 @@ import random
 
 import pytest
 
-from repro.sim.stats import (Counter, Histogram, IntervalRate,
-                             LatencySampler, StatsRegistry,
-                             TimeWeightedGauge)
+from repro.sim.stats import Counter, LatencySampler, StatsRegistry
 
 
 def _samples(seed, n=500):
@@ -84,48 +82,6 @@ def test_latency_merge_thins_reservoir_deterministically():
     assert left._reservoir == twin_left._reservoir  # no randomness
 
 
-def test_gauge_merge_weighted_mean():
-    left = TimeWeightedGauge("g")
-    left.set(10.0, 4.0)        # level 0 for 10s, then 4
-    right = TimeWeightedGauge("g")
-    right.set(5.0, 8.0)        # level 0 for 5s, then 8
-    left.merge(right)
-    # Windows laid end to end: area 0*10 + 0*5 over 15s so far.
-    assert left.mean() == pytest.approx(0.0)
-    assert left.level == 12.0  # shards track disjoint populations
-    assert left.max_level == 8.0
-    left.set(left._last_time + 5.0, 0.0)  # 12 for 5 more seconds
-    assert left.mean() == pytest.approx(12.0 * 5.0 / 20.0)
-
-
-def test_histogram_merge():
-    left = Histogram([1.0, 2.0], name="h")
-    right = Histogram([1.0, 2.0], name="h")
-    for value in (0.5, 1.5, 5.0):
-        left.observe(value)
-        right.observe(value)
-    left.merge(right)
-    assert left.counts == [2, 2]
-    assert left.overflow == 2
-    assert left.total == 6
-
-
-def test_histogram_merge_bounds_mismatch():
-    with pytest.raises(ValueError, match="bounds differ"):
-        Histogram([1.0]).merge(Histogram([2.0]))
-
-
-def test_interval_rate_merge():
-    left, right = IntervalRate(1.0), IntervalRate(1.0)
-    left.record(0.5, 100)
-    right.record(0.6, 50)
-    right.record(1.5, 200)
-    left.merge(right)
-    assert left.rates() == [(0.0, 150.0), (1.0, 200.0)]
-    with pytest.raises(ValueError, match="intervals differ"):
-        left.merge(IntervalRate(2.0))
-
-
 # ---------------------------------------------------------------------------
 # registry-level merge + the executor's pickle boundary
 # ---------------------------------------------------------------------------
@@ -136,9 +92,6 @@ def _shard(seed):
     for _ in range(100):
         registry.counter("completed").add(64 * 1024)
         registry.counter("readahead").add(rng.randrange(1, 8) * 4096)
-    gauge = registry.gauge("queue")
-    for step in range(1, 11):
-        gauge.set(float(step), float(rng.randrange(8)))
     return registry
 
 
@@ -174,9 +127,7 @@ def test_pickled_shard_merges_identically(make):
 
 
 def test_primitives_pickle_round_trip():
-    for primitive in (Counter("c"), TimeWeightedGauge("g"),
-                      LatencySampler("l"), Histogram([1.0], name="h"),
-                      IntervalRate(1.0)):
+    for primitive in (Counter("c"), LatencySampler("l")):
         clone = pickle.loads(pickle.dumps(primitive))
         assert type(clone) is type(primitive)
     sampler = LatencySampler("l")
