@@ -8,12 +8,11 @@ collector reclaims buffers nobody read (a stream that stopped, a region
 misclassified as sequential).
 
 Lookup and reclamation are index-accelerated (DESIGN.md "data-plane
-indexes"): per-disk and per-stream start-sorted span indexes make
-:meth:`BufferedSet.find` / :meth:`BufferedSet.find_in_stream`
-O(log buffers), a per-stream head map makes the sequential hit
-(:meth:`BufferedSet.consume_head`) O(1), and an idle heap with
-one entry per filled buffer, re-keyed lazily, makes
-:meth:`BufferedSet.collect` touch only expired buffers. All are pure
+indexes"): a per-stream start-sorted span index makes
+:meth:`BufferedSet.find_in_stream` O(log buffers), a per-stream head
+map makes the sequential hit (:meth:`BufferedSet.consume_head`) O(1),
+and an idle heap with one entry per filled buffer, re-keyed lazily,
+makes :meth:`BufferedSet.collect` touch only expired buffers. All are pure
 accelerations — observable behaviour (results, tie-breaks, release
 order, callback order) is bit-identical to the reference linear scans,
 which ``tests/test_core_differential.py`` pins.
@@ -159,8 +158,7 @@ class BufferedSet:
         #: stream_id -> the stream's oldest live buffer (the first entry
         #: of its ``_by_stream`` dict), for consume_head.
         self._heads: Dict[int, StreamBuffer] = {}
-        #: Span indexes behind find / find_in_stream.
-        self._disk_index: Dict[int, _SpanIndex] = {}
+        #: stream_id -> span index behind find_in_stream.
         self._stream_index: Dict[int, _SpanIndex] = {}
         #: (key, buffer_id) min-heap over *filled* buffers. mark_filled
         #: pushes the one entry a buffer gets; consume only moves
@@ -200,10 +198,6 @@ class BufferedSet:
             siblings = self._by_stream[stream_id] = {}
             self._heads[stream_id] = buffer
         siblings[buffer.buffer_id] = buffer
-        disk_index = self._disk_index.get(disk_id)
-        if disk_index is None:
-            disk_index = self._disk_index[disk_id] = _SpanIndex()
-        disk_index.insert(buffer)
         stream_index = self._stream_index.get(stream_id)
         if stream_index is None:
             stream_index = self._stream_index[stream_id] = _SpanIndex()
@@ -225,26 +219,14 @@ class BufferedSet:
         return waiters
 
     # -- lookup ---------------------------------------------------------------
-    def find(self, disk_id: int, offset: int,
-             size: int) -> Optional[StreamBuffer]:
-        """The buffer containing the byte range, if any.
-
-        One bisect in the disk's span index plus a walk bounded by the
-        widest buffer on the disk (buffers are read-ahead sized, so the
-        walk sees at most a couple of overlapping spans).
-        """
-        index = self._disk_index.get(disk_id)
-        if index is None:
-            return None
-        buffer_id = index.find(offset, size)
-        if buffer_id is None:
-            return None
-        return self._buffers[buffer_id]
-
     def find_in_stream(self, stream_id: int, offset: int,
                        size: int) -> Optional[StreamBuffer]:
-        """Like :meth:`find` but scoped to one stream's buffers —
-        the hot path once the classifier has routed a request."""
+        """The stream's oldest buffer containing the byte range, if any.
+
+        One bisect in the stream's span index plus a walk bounded by
+        the widest buffer of the stream (buffers are read-ahead sized,
+        so the walk sees at most a couple of overlapping spans).
+        """
         index = self._stream_index.get(stream_id)
         if index is None:
             return None
@@ -307,11 +289,6 @@ class BufferedSet:
                 del self._heads[stream_id]
             elif self._heads[stream_id] is buffer:
                 self._heads[stream_id] = next(iter(siblings.values()))
-        disk_index = self._disk_index.get(buffer.disk_id)
-        if disk_index is not None:
-            disk_index.remove(buffer)
-            if not disk_index:
-                del self._disk_index[buffer.disk_id]
         stream_index = self._stream_index.get(buffer.stream_id)
         if stream_index is not None:
             stream_index.remove(buffer)

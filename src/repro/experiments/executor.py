@@ -21,7 +21,10 @@ module factors the loop out so that every figure gets, for free:
   fingerprint of the modules the point function's figure *actually
   imports* (its static import closure, see
   :func:`code_fingerprint_for`), so editing an unrelated figure or an
-  unimported subsystem keeps every unaffected cache entry warm.
+  unimported subsystem keeps every unaffected cache entry warm. This
+  is the only cache: fabric workers compute and keep nothing, and
+  coordinators share results by pointing ``REPRO_SWEEP_CACHE`` at one
+  root.
 * **Deduplication** — points with identical cache keys inside one sweep
   (e.g. Figure 13 embedding Figure 12's R=512K baseline) simulate once.
 
@@ -426,10 +429,10 @@ class SweepCache:
         """Persist ``value`` atomically against concurrent readers
         *and* writers on the same root.
 
-        The cache root is shared property: concurrent sweeps, fabric
-        workers on other hosts (via a network filesystem) and the
-        coordinator all write it concurrently. Three ingredients make
-        that safe:
+        The cache root is shared property: concurrent sweeps and
+        several coordinators pointed at one ``REPRO_SWEEP_CACHE`` root
+        (on other hosts, via a network filesystem) all write it
+        concurrently. Three ingredients make that safe:
 
         * a **per-writer temp name** (random suffix + pid in the
           prefix), so two writers of the same key never clobber each
@@ -605,8 +608,8 @@ def resolve_fabric(fabric: Optional[Any] = None,
     return fabric
 
 
-def _run_on_fabric(fabric: Any, tasks: List[tuple], keys: List[str],
-                   use_cache: bool) -> Optional[List[PointValue]]:
+def _run_on_fabric(fabric: Any,
+                   tasks: List[tuple]) -> Optional[List[PointValue]]:
     """Run ``tasks`` on ``fabric``; None when it fails (run in-process).
 
     With an ambient obs context active every point runs traced: workers
@@ -628,7 +631,7 @@ def _run_on_fabric(fabric: Any, tasks: List[tuple], keys: List[str],
         }
     try:
         return fabric.run_tasks(
-            tasks, keys=keys, use_cache=use_cache, trace=trace_config,
+            tasks, trace=trace_config,
             obs_context=context if trace_config else None)
     except FabricError as exc:
         _log.warning("sweep fabric failed (%s); recomputing %d point(s) "
@@ -675,7 +678,9 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale,
     fewer than :data:`FABRIC_MIN_POINTS` pending points, ``jobs=1``
     runs and any fabric failure run in-process; that loop is the
     reference the determinism tests compare the fabric against. Points
-    are pure, so every route gives the same bits. ``cache=False`` or
+    are pure, so every route gives the same bits. The store is looked
+    up before dispatch and written after, once per computed key: the
+    fabric keeps no cache of its own. ``cache=False`` or
     ``REPRO_NO_CACHE=1`` skips the on-disk cache but still deduplicates
     identical points in-sweep.
     """
@@ -711,12 +716,7 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale,
         if len(tasks) >= FABRIC_MIN_POINTS:
             target = resolve_fabric(fabric, resolve_jobs(jobs))
             if target is not None:
-                # Spawned workers share this host's disk, which the
-                # lookup above already searched; only dialed workers
-                # keep caches of their own.
-                computed = _run_on_fabric(
-                    target, tasks, order,
-                    use_cache=store is not None and not target.spec.spawn)
+                computed = _run_on_fabric(target, tasks)
         if computed is None:
             computed = [_invoke(task) for task in tasks]
         for key, value in zip(order, computed):

@@ -1,17 +1,17 @@
-"""Distributed sweep fabric: a work queue + shared cache for sweeps.
+"""Distributed sweep fabric: a work queue for sweep points.
 
 ``repro.experiments.fabric`` is how the sweep executor runs points in
 parallel, on one host or several: a coordinator/worker fabric
 (push-based dispatch in the spirit of arXiv 1905.07113). A coordinator
-serializes
-``(point_fn, scale, params)`` tasks onto a length-prefixed TCP or
-Unix-socket work queue; N worker processes — spawned locally or
-listening on remote hosts — pull points, consult/populate the shared
-content-addressed :class:`~repro.experiments.executor.SweepCache`
-(worker-local disk first, then a ``cache_get`` round-trip to the
-coordinator's store), and stream ``(key, value)`` results back.
-Dispatch to dialed workers is straggler-aware: slow points are hedged
-onto idle workers and the first result wins (see
+serializes ``(point_fn, scale, params)`` tasks onto a length-prefixed
+TCP or Unix-socket work queue; N worker processes — spawned locally or
+listening on remote hosts — pull points, compute them and stream the
+values back. The workers keep no state: ``run_sweep``'s
+:class:`~repro.experiments.executor.SweepCache` is looked up before
+dispatch and written after, and is the only cache. Several
+coordinators share results by pointing ``REPRO_SWEEP_CACHE`` at one
+root. Dispatch to dialed workers is straggler-aware: slow points are
+hedged onto idle workers and the first result wins (see
 :mod:`repro.experiments.fabric.coordinator` for the policy and the
 determinism argument).
 

@@ -1,30 +1,29 @@
-"""Fabric coordinator: work queue, shared cache, straggler-aware dispatch.
+"""Fabric coordinator: work queue and straggler-aware dispatch.
 
 The coordinator owns one listening (or dialing) socket per fabric and a
 single-threaded ``selectors`` event loop. Per ``run_tasks`` call it
-pushes ``task`` messages to idle workers, serves their ``cache_get``
-round-trips from its in-memory results plus its on-disk
-:class:`~repro.experiments.executor.SweepCache`, and collects
-``result`` messages until every task has a value. Freshly *computed*
-(non-NaN, cache-eligible) results are written back into that store as
-they arrive (``cache_writebacks``), so values computed on remote
-workers' disks become peer-cache hits for everyone on the next ask.
+pushes ``task`` messages to idle workers and collects ``result``
+messages until every task has a value. It keeps no cache: the caller
+(``run_sweep``) looks every point up in its
+:class:`~repro.experiments.executor.SweepCache` before dispatch and
+stores every value after, so the fabric only ships points and returns
+values.
 
 Dispatch policy (the straggler-aware part, after arXiv 1805.06156):
 
-* every completed *compute* latency updates its worker's EWMA and a
+* every completed point's latency updates its worker's EWMA and a
   bounded window whose running **median** is the fabric's notion of a
   normal point (:class:`~repro.sim.stats.StragglerTracker`, the
   estimator the simulated hedged mirror uses too);
 * new tasks go to the idle worker with the lowest EWMA (ties broken by
   worker id, so scheduling is reproducible given identical timings);
 * when the queue is empty but workers are idle, the oldest in-flight
-  task whose age exceeds ``max(hedge_min_s, hedge_k x median)`` is
+  task whose age exceeds ``max(_HEDGE_MIN_S, _HEDGE_K x median)`` is
   **hedged** — re-dispatched to an idle worker, at most two copies.
-  Only dialed workers hedge by default: spawned workers are copies of
-  one interpreter on one host, so there a long task is a long point,
-  not a slow worker, and its copy would only hold a worker into the
-  next sweep (DESIGN.md §8);
+  Only dialed workers hedge: spawned workers are copies of one
+  interpreter on one host, so there a long task is a long point, not a
+  slow worker, and its copy would only hold a worker into the next
+  sweep (DESIGN.md §8);
 * **first result wins**: a task's first arriving value is recorded and
   later duplicates are discarded. Point functions are pure and
   deterministic (the executor's core contract, pinned by the
@@ -42,7 +41,7 @@ in-process loop, where a raising point surfaces to the caller.
 ``run_sweep`` answers any :class:`FabricError` by recomputing the
 sweep in-process.
 
-Telemetry: per-worker queue depth, completion/hedge/cache counters and
+Telemetry: per-worker queue depth, completion/hedge counters and
 the coordinator's pending depth are recorded into
 :class:`repro.obs.telemetry.TimeSeries` ring buffers (wall-clock
 timestamps) and exported in the ``repro.obs`` JSONL schema, so
@@ -71,6 +70,7 @@ from repro.experiments.fabric.protocol import (AUTH_ENV, Address,
                                                connect, fabric_secret,
                                                format_address, parse_spec,
                                                send_msg)
+from repro.sim.eventcore import backend_token
 from repro.sim.stats import StragglerTracker
 
 _log = logging.getLogger("repro.fabric")
@@ -99,9 +99,7 @@ class _Worker:
     """Coordinator-side connection state for one worker process."""
 
     __slots__ = ("ident", "sock", "frames", "task", "dispatched_at",
-                 "completed", "hedges_won", "cache_local",
-                 "cache_peer", "cache_misses", "computed", "writebacks",
-                 "pid", "host", "process")
+                 "completed", "hedges_won", "pid", "host", "process")
 
     def __init__(self, ident: int, sock: socket.socket,
                  process: Optional[subprocess.Popen] = None):
@@ -112,13 +110,6 @@ class _Worker:
         self.dispatched_at = 0.0
         self.completed = 0
         self.hedges_won = 0
-        self.cache_local = 0
-        self.cache_peer = 0
-        #: Cache-enabled tasks that fell through both tiers to compute.
-        self.cache_misses = 0
-        self.computed = 0
-        #: Computed values this worker contributed to the shared store.
-        self.writebacks = 0
         self.pid: Optional[int] = None
         self.host = ""
         self.process = process
@@ -139,31 +130,19 @@ class Fabric:
     first use; ``Fabric("hostA:7070,hostB:7070")`` dials workers
     started with ``python -m repro.experiments.fabric worker --listen``.
     The connection set persists across sweeps (workers keep their warm
-    imports and local cache); ``close()`` tears everything down.
+    imports); ``close()`` tears everything down.
 
-    Dialed workers hedge stragglers; spawned ones do not unless
-    ``hedge_k`` or ``hedge_min_s`` is given.
+    Dialed workers hedge stragglers; spawned ones do not. The shared
+    auth secret is ``REPRO_FABRIC_SECRET`` as set when the fabric is
+    built; spawned workers inherit the environment as it is when they
+    start.
     """
 
-    def __init__(self, spec: str, cache_root: Optional[str] = None,
-                 hedge_k: Optional[float] = None,
-                 hedge_min_s: Optional[float] = None,
-                 worker_env: Optional[Dict[str, str]] = None,
-                 secret: Optional[str] = None):
+    def __init__(self, spec: str):
         self.spec: WorkerSpec = parse_spec(spec)
         self.spec_text = spec
-        self.hedging = not self.spec.spawn or hedge_k is not None \
-            or hedge_min_s is not None
-        self.hedge_k = _HEDGE_K if hedge_k is None else hedge_k
-        self.hedge_min_s = _HEDGE_MIN_S if hedge_min_s is None \
-            else hedge_min_s
-        self._cache_root = cache_root
-        self._worker_env = dict(worker_env or {})
-        #: Shared auth secret: explicit argument wins, else the
-        #: environment (REPRO_FABRIC_SECRET); "" means auth off.
-        self._secret = fabric_secret() if secret is None \
-            else (secret or None)
-        self._store = None  # lazy SweepCache
+        self.hedging = not self.spec.spawn
+        self._secret = fabric_secret()
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
         self._listen_address: Optional[Address] = None
@@ -181,9 +160,6 @@ class Fabric:
         self.hedges_issued = 0
         self.hedges_won = 0
         self.requeued = 0
-        self.cache_local_hits = 0
-        self.cache_peer_hits = 0
-        self.cache_writebacks = 0
         self.duplicate_results = 0
         self.duplicate_mismatches = 0
         self.workers_lost = 0
@@ -279,12 +255,6 @@ class Fabric:
         # reference in a fresh interpreter too.
         env["PYTHONPATH"] = os.pathsep.join(
             entry for entry in sys.path if entry)
-        env.update(self._worker_env)
-        # Spawned workers inherit an explicitly-passed secret unless
-        # the caller deliberately overrode it via worker_env (tests
-        # use that to exercise the mismatch path).
-        if self._secret is not None and AUTH_ENV not in self._worker_env:
-            env[AUTH_ENV] = self._secret
         command = [sys.executable, "-m", "repro.experiments.fabric",
                    "worker", "--connect",
                    format_address(self._listen_address)]
@@ -301,9 +271,9 @@ class Fabric:
                 self._drop_worker(worker, requeue=False)
         if self.spec.spawn:
             missing = self.spec.spawn - len(self._workers)
-            processes = [self._spawn_worker() for _ in range(missing)]
-            if processes:
-                self._accept_spawned(len(processes), processes)
+            if missing > 0:
+                self._accept_spawned(
+                    [self._spawn_worker() for _ in range(missing)])
         elif not self._workers:
             for address in self.spec.addresses:
                 try:
@@ -312,25 +282,29 @@ class Fabric:
                     _log.warning("fabric: cannot reach worker at %s: %s",
                                  format_address(address), exc)
                     continue
-                self._adopt(sock, process=None)
+                self._adopt(sock)
 
-    def _accept_spawned(self, expected: int,
-                        processes: List[subprocess.Popen]) -> None:
-        """Accept ``expected`` spawned connections within the handshake
-        budget; unclaimed processes are killed."""
+    def _accept_spawned(self, processes: List[subprocess.Popen]) -> None:
+        """Accept one connection per spawned process within the
+        handshake budget; unclaimed processes are killed.
+
+        Processes connect in whatever order they start, so each
+        connection is paired with the process whose pid its hello
+        names, never by position.
+        """
+        expected = len(processes)
         deadline = time.monotonic() + _HELLO_TIMEOUT_S
         accepted = 0
-        unclaimed = list(processes)
+        unclaimed = {process.pid: process for process in processes}
         while accepted < expected and time.monotonic() < deadline:
             try:
                 sock, _peer = self._listener.accept()
             except BlockingIOError:
                 self._selector.select(timeout=0.05)
                 continue
-            process = unclaimed.pop(0) if unclaimed else None
-            self._adopt(sock, process=process)
+            self._adopt(sock, unclaimed)
             accepted += 1
-        for process in unclaimed:
+        for process in unclaimed.values():
             process.kill()
         if accepted < expected:
             _log.warning("fabric: only %d/%d spawned workers connected "
@@ -338,10 +312,15 @@ class Fabric:
                          _HELLO_TIMEOUT_S)
 
     def _adopt(self, sock: socket.socket,
-               process: Optional[subprocess.Popen]) -> None:
-        """Handshake a new connection and register it (or refuse it)."""
+               spawned: Optional[Dict[int, subprocess.Popen]] = None) \
+            -> None:
+        """Handshake a new connection and register it (or refuse it).
+
+        ``spawned`` maps pid -> process for spawned workers still
+        waiting for their connection; the one whose pid the hello
+        names is claimed by this worker.
+        """
         from repro.experiments.fabric.protocol import recv_msg
-        from repro.sim.eventcore import backend_token
         sock.settimeout(_HELLO_TIMEOUT_S)
         try:
             hello = recv_msg(sock)
@@ -387,8 +366,10 @@ class Fabric:
             return
         sock.settimeout(None)
         sock.setblocking(False)
+        pid = hello.get("pid")
+        process = spawned.pop(pid, None) if spawned is not None else None
         worker = _Worker(next(self._ident), sock, process=process)
-        worker.pid = hello.get("pid")
+        worker.pid = pid
         worker.host = hello.get("host", "")
         self._workers[worker.ident] = worker
         self._selector.register(sock, selectors.EVENT_READ, data=worker)
@@ -486,7 +467,7 @@ class Fabric:
         return len(lines)
 
     def stats(self) -> Dict[str, Any]:
-        """Lifetime dispatch/cache counters (for ``runner --json``)."""
+        """Lifetime dispatch counters (for ``runner --json``)."""
         return {
             "spec": self.spec_text,
             "workers": len(self._workers),
@@ -495,9 +476,6 @@ class Fabric:
             "hedges_won": self.hedges_won,
             "requeued": self.requeued,
             "workers_lost": self.workers_lost,
-            "cache_local_hits": self.cache_local_hits,
-            "cache_peer_hits": self.cache_peer_hits,
-            "cache_writebacks": self.cache_writebacks,
             "duplicate_results": self.duplicate_results,
             "duplicate_mismatches": self.duplicate_mismatches,
         }
@@ -508,9 +486,8 @@ class Fabric:
         ``(name, kind, value)`` rows suitable for the ``extra``
         argument of :func:`repro.obs.export.export_prometheus`: the
         lifetime fabric counters, then per worker its completion and
-        cache hit/miss/writeback counters and its dispatch-latency
-        EWMA — the numbers that previously only surfaced as raw
-        ``--fabric-trace`` events.
+        hedge-win counters and its dispatch-latency EWMA — the numbers
+        that previously only surfaced as raw ``--fabric-trace`` events.
         """
         rows: List[Tuple[str, str, float]] = []
         for name, value in self.stats().items():
@@ -523,15 +500,6 @@ class Fabric:
             rows.extend([
                 (f"{prefix}.completed", "counter",
                  float(worker.completed)),
-                (f"{prefix}.computed", "counter", float(worker.computed)),
-                (f"{prefix}.cache_local_hits", "counter",
-                 float(worker.cache_local)),
-                (f"{prefix}.cache_peer_hits", "counter",
-                 float(worker.cache_peer)),
-                (f"{prefix}.cache_misses", "counter",
-                 float(worker.cache_misses)),
-                (f"{prefix}.cache_writebacks", "counter",
-                 float(worker.writebacks)),
                 (f"{prefix}.hedges_won", "counter",
                  float(worker.hedges_won)),
                 (f"{prefix}.ewma_seconds", "gauge",
@@ -548,34 +516,19 @@ class Fabric:
     # -- the run loop -------------------------------------------------------
 
     def run_tasks(self, tasks: List[Tuple[Any, Any, dict]],
-                  keys: Optional[List[Optional[str]]] = None,
-                  use_cache: bool = False,
                   trace: Optional[Dict[str, Any]] = None,
                   obs_context: Optional[Any] = None) -> List[Any]:
         """Execute ``(point_fn, scale, params)`` tasks; values in order.
 
-        ``keys[i]`` is task i's sweep-cache key (or None); with
-        ``use_cache`` the workers consult/populate the shared cache
-        under those keys. With ``trace`` (an obs span/telemetry config
-        dict, DESIGN.md §10) every task runs traced on its worker and
-        ships spans + telemetry back with its result; the payloads are
-        merged into ``obs_context`` in task order — deterministic
-        regardless of completion order — tagged with the computing
-        worker's ident. Tracing forces the cache off (a hit would skip
-        the simulation that produces the spans). Raises
-        :class:`FabricError` when the fabric cannot produce every
-        value.
+        With ``trace`` (an obs span/telemetry config dict, DESIGN.md
+        §10) every task runs traced on its worker and ships spans +
+        telemetry back with its result; the payloads are merged into
+        ``obs_context`` in task order — deterministic regardless of
+        completion order — tagged with the computing worker's ident.
+        Raises :class:`FabricError` when the fabric cannot produce
+        every value.
         """
         self.start()
-        if keys is None:
-            keys = [None] * len(tasks)
-        if len(keys) != len(tasks):
-            raise ValueError("keys and tasks must align")
-        if trace:
-            use_cache = False
-        if use_cache and self._store is None:
-            from repro.experiments.executor import SweepCache
-            self._store = SweepCache(self._cache_root)
 
         # The run nonce isolates runs sharing one fabric: a hedge copy
         # still computing when its run finishes delivers its result
@@ -583,14 +536,12 @@ class Fabric:
         # mistaken for the later run's same-numbered task.
         run_id = next(self._runs)
         messages = []
-        for index, ((fn, scale, params), key) in enumerate(
-                zip(tasks, keys)):
+        for index, (fn, scale, params) in enumerate(tasks):
             message = {
-                "type": "task", "task": index, "run": run_id, "key": key,
+                "type": "task", "task": index, "run": run_id,
                 "fn": f"{fn.__module__}:{fn.__qualname__}",
                 "scale": [scale.name, scale.duration, scale.warmup],
                 "params": dict(params),
-                "cache": bool(use_cache and key),
             }
             if trace:
                 message["trace"] = dict(trace)
@@ -681,8 +632,7 @@ class _RunState:
             ident for ident, w in workers.items() if w.idle)]
         if not idle:
             return
-        threshold = fabric._stragglers.threshold(fabric.hedge_k,
-                                                 fabric.hedge_min_s)
+        threshold = fabric._stragglers.threshold(_HEDGE_K, _HEDGE_MIN_S)
         now = time.monotonic()
         # Oldest in-flight tasks first; at most two copies each.
         candidates = sorted(
@@ -726,14 +676,6 @@ class _RunState:
     def _on_message(self, worker: _Worker, message: dict) -> None:
         fabric = self.fabric
         kind = message.get("type")
-        if kind == "cache_get":
-            key = message.get("key")
-            hit, value = False, None
-            if fabric._store is not None and key:
-                hit, value = fabric._store.get(key)
-            send_msg(worker.sock,
-                     {"type": "cache_value", "hit": hit, "value": value})
-            return
         if kind == "error":
             if message.get("run") != self.run_id:
                 _log.warning("fabric: late error from a previous run "
@@ -755,22 +697,8 @@ class _RunState:
         task = message.get("task")
         worker.task = None
         fabric._record(f"fabric.w{worker.ident}.inflight", "gauge", 0.0)
-        source = message.get("source", "compute")
-        elapsed = float(message.get("elapsed", 0.0))
-        if source == "compute":
-            fabric._stragglers.observe(worker.ident, elapsed)
-        elif source == "local-cache":
-            worker.cache_local += 1
-            fabric.cache_local_hits += 1
-            fabric._record("fabric.cache_hits", "counter",
-                           fabric.cache_local_hits
-                           + fabric.cache_peer_hits)
-        elif source == "peer-cache":
-            worker.cache_peer += 1
-            fabric.cache_peer_hits += 1
-            fabric._record("fabric.cache_hits", "counter",
-                           fabric.cache_local_hits
-                           + fabric.cache_peer_hits)
+        fabric._stragglers.observe(worker.ident,
+                                   float(message.get("elapsed", 0.0)))
         if task is None or task >= len(self.messages):
             raise FrameError(f"result for unknown task {task!r}")
         if task in self.results:
@@ -796,44 +724,9 @@ class _RunState:
         fabric.completed += 1
         fabric._record(f"fabric.w{worker.ident}.completed", "counter",
                        worker.completed)
-        if source == "compute":
-            worker.computed += 1
-            if self.messages[task].get("cache"):
-                worker.cache_misses += 1
-            payload = message.get("obs")
-            if payload is not None:
-                self.obs_payloads[task] = (worker.ident, payload)
-            self._write_back(task, value, worker)
-
-    def _write_back(self, task: int, value: Any,
-                    worker: _Worker) -> None:
-        """Persist a freshly *computed* result in the coordinator's store.
-
-        Workers write computes to their own local cache, but a dial-out
-        worker's disk is not this coordinator's: without write-back the
-        shared tier only ever returns values the coordinator itself once
-        computed, and every new point stays a guaranteed ``cache_get``
-        miss for all peers. Writing the first copy of each computed
-        value here closes the loop — the next worker asking for this key
-        (a hedge survivor, a re-run, a different sweep sharing points)
-        hits the peer tier instead of recomputing. Cache-ineligible
-        tasks and NaN values (timed-out points, never cached anywhere)
-        are skipped; hedge duplicates never reach this path because the
-        first result already claimed ``results[task]``.
-        """
-        fabric = self.fabric
-        spec = self.messages[task]
-        key = spec.get("key")
-        if fabric._store is None or not spec.get("cache") or not key:
-            return
-        from repro.experiments.executor import _contains_nan
-        if _contains_nan(value):
-            return
-        fabric._store.put(key, value)
-        fabric.cache_writebacks += 1
-        worker.writebacks += 1
-        fabric._record("fabric.cache_writebacks", "counter",
-                       fabric.cache_writebacks)
+        payload = message.get("obs")
+        if payload is not None:
+            self.obs_payloads[task] = (worker.ident, payload)
 
     # -- main loop ----------------------------------------------------------
 
@@ -862,7 +755,7 @@ class _RunState:
                         sock, _peer = key.fileobj.accept()
                     except OSError:
                         continue
-                    fabric._adopt(sock, process=None)
+                    fabric._adopt(sock)
                     continue
                 worker = key.data
                 try:

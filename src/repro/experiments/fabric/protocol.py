@@ -27,38 +27,34 @@ type           direction  payload
 ``auth``       w -> c     ``mac`` — the worker's HMAC over the
                           coordinator's challenge nonce; closes the
                           mutual handshake
-``task``       c -> w     ``task`` (id), ``key`` (cache key or null),
-                          ``fn`` ("module:qualname"), ``scale``
-                          ({name, duration, warmup}), ``params``,
-                          ``cache`` (bool), optional ``trace`` — obs
-                          config ({span_capacity, span_reserved,
-                          telemetry_interval, telemetry_capacity}): run
-                          the point under a worker-local ObsContext and
-                          ship the observations back (tracing implies
-                          cache off — a hit would skip the simulation)
-``cache_get``  w -> c     ``key`` — remote lookup in the coordinator's
-                          store on a worker-local miss
-``cache_value`` c -> w    ``hit``, ``value``
-``result``     w -> c     ``task``, ``key``, ``value``, ``source``
-                          ("compute" / "local-cache" / "peer-cache"),
-                          ``elapsed`` (worker wall seconds), optional
-                          ``obs`` (traced tasks only; DESIGN.md §10):
+``task``       c -> w     ``task`` (id), ``run`` (run nonce), ``fn``
+                          ("module:qualname"), ``scale`` ({name,
+                          duration, warmup}), ``params``, optional
+                          ``trace`` — obs config ({span_capacity,
+                          span_reserved, telemetry_interval,
+                          telemetry_capacity}): run the point under a
+                          worker-local ObsContext and ship the
+                          observations back
+``result``     w -> c     ``task``, ``run``, ``value``, ``elapsed``
+                          (worker wall seconds), optional ``obs``
+                          (traced tasks only; DESIGN.md §10):
                           ``spans`` — packed span records
                           ([id, trace, parent, name, cat, start, end,
                           args], parents before children), ``dropped``
                           + ``dropped_by_category`` — worker-side
                           capacity shed, ``series`` — telemetry rows
                           ({name, kind, samples: [[t, v], ...]})
-``error``      w -> c     ``task``, ``error`` — the point function
-                          raised; the worker itself is still healthy
+``error``      w -> c     ``task``, ``run``, ``error`` — the point
+                          function raised; the worker itself is still
+                          healthy
 ``shutdown``   c -> w     none; the worker exits its serve loop
 =============  =========  ==============================================
 
 The worker side is strictly alternating: after ``hello`` it receives
 exactly one coordinator message at a time and answers every ``task``
-with ``result``/``error`` (with at most one ``cache_get`` round-trip in
-between). The coordinator never sends ``task`` to a busy worker, so
-there is no interleaving to disambiguate.
+with exactly one ``result`` or ``error``. The coordinator never sends
+``task`` to a busy worker, so there is no interleaving to disambiguate.
+Workers keep no cache: the coordinator's sweep cache is the only one.
 
 Worker addresses (``parse_spec``): a bare integer ``"4"`` asks the
 coordinator to spawn that many local worker processes over a private

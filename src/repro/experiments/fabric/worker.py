@@ -1,30 +1,23 @@
-"""Fabric worker: pull points off the wire, compute or reuse, stream back.
+"""Fabric worker: pull points off the wire, compute, stream back.
 
 One worker process serves one coordinator connection at a time. Its
 loop is the strictly alternating half of the protocol (see
-:mod:`repro.experiments.fabric.protocol`):
+:mod:`repro.experiments.fabric.protocol`): receive a ``task``, compute
+it, answer with ``result`` (or ``error`` if the point function raised).
 
-1. receive a ``task``;
-2. on a cache-enabled task, try the worker-local
-   :class:`~repro.experiments.executor.SweepCache` first, then one
-   ``cache_get`` round-trip to the coordinator (whose store is warmed by
-   every other worker — the *shared* half of the content-addressed
-   cache), and only then compute;
-3. answer with ``result`` (or ``error`` if the point function raised).
-
-Points are computed through :func:`repro.experiments.executor._invoke`,
-so ``REPRO_POINT_TIMEOUT`` means exactly what it means in-process: an
-overrunning point yields NaN, and NaN results are never written to any
-cache tier. Freshly computed non-NaN values are written to the local
-store before the result goes back, so a later sweep on this host hits
-without a network round-trip.
+A worker keeps no cache. The coordinator's ``run_sweep`` looks every
+point up in its :class:`~repro.experiments.executor.SweepCache` before
+dispatch and stores every value after, so a task that reaches a worker
+is one nobody has a value for. Points are computed through
+:func:`repro.experiments.executor._invoke`, so ``REPRO_POINT_TIMEOUT``
+means exactly what it means in-process: an overrunning point yields
+NaN, which ``run_sweep`` never stores.
 """
 
 from __future__ import annotations
 
 import hmac
 import logging
-import math
 import os
 import socket
 import time
@@ -59,29 +52,6 @@ def resolve_point_fn(spec: str):
     return obj
 
 
-def _contains_nan(value: Any) -> bool:
-    if isinstance(value, dict):
-        return any(isinstance(v, float) and math.isnan(v)
-                   for v in value.values())
-    return isinstance(value, float) and math.isnan(value)
-
-
-def _peer_cache_get(sock: socket.socket, key: str):
-    """One ``cache_get`` round-trip; (hit, value).
-
-    A ``shutdown`` arriving instead of the reply ends the process —
-    the coordinator is tearing the fabric down mid-task.
-    """
-    send_msg(sock, {"type": "cache_get", "key": key})
-    reply = recv_msg(sock)
-    if reply is None or reply.get("type") == "shutdown":
-        raise SystemExit(0)
-    if reply.get("type") != "cache_value":
-        raise FrameError(
-            f"expected cache_value, got {reply.get('type')!r}")
-    return bool(reply.get("hit")), reply.get("value")
-
-
 def _invoke_traced(task: tuple, trace: Dict[str, Any]) -> tuple:
     """Compute one point under a worker-local obs context.
 
@@ -113,45 +83,22 @@ def _invoke_traced(task: tuple, trace: Dict[str, Any]) -> tuple:
     return value, context.pack_payload()
 
 
-def handle_task(sock: socket.socket, message: Dict[str, Any],
-                cache) -> None:
+def handle_task(sock: socket.socket, message: Dict[str, Any]) -> None:
     """Serve one ``task`` message; always answers exactly once."""
     task_id = message.get("task")
     try:
         point_fn = resolve_point_fn(message["fn"])
         scale = ExperimentScale(*message["scale"])
         params = dict(message.get("params") or {})
-        key: Optional[str] = message.get("key")
         trace = message.get("trace")
-        # A traced task must actually *run* — a cache hit would return
-        # the right value but no spans — so tracing disables both cache
-        # tiers regardless of what the task says.
-        use_cache = bool(message.get("cache")) and key is not None \
-            and cache is not None and not trace
         started = time.monotonic()
-        value = None
         obs_payload = None
-        source = "compute"
-        if use_cache:
-            hit, value = cache.get(key)
-            if hit:
-                source = "local-cache"
-            else:
-                hit, value = _peer_cache_get(sock, key)
-                if hit:
-                    source = "peer-cache"
-                    cache.put(key, value)
-        if source == "compute":
-            if trace:
-                value, obs_payload = _invoke_traced(
-                    (point_fn, scale, params), trace)
-            else:
-                from repro.experiments.executor import _invoke
-                value = _invoke((point_fn, scale, params))
-            if use_cache and not _contains_nan(value):
-                cache.put(key, value)
-    except SystemExit:
-        raise
+        if trace:
+            value, obs_payload = _invoke_traced(
+                (point_fn, scale, params), trace)
+        else:
+            from repro.experiments.executor import _invoke
+            value = _invoke((point_fn, scale, params))
     except BaseException as exc:  # noqa: BLE001 - reported, not fatal
         _log.warning("point task %s failed: %s: %s", task_id,
                      type(exc).__name__, exc)
@@ -160,16 +107,14 @@ def handle_task(sock: socket.socket, message: Dict[str, Any],
                         "error": f"{type(exc).__name__}: {exc}"})
         return
     reply = {"type": "result", "task": task_id,
-             "run": message.get("run"),
-             "key": message.get("key"), "value": value,
-             "source": source,
+             "run": message.get("run"), "value": value,
              "elapsed": time.monotonic() - started}
     if obs_payload is not None:
         reply["obs"] = obs_payload
     send_msg(sock, reply)
 
 
-def serve_connection(sock: socket.socket, cache=None) -> None:
+def serve_connection(sock: socket.socket) -> None:
     """Run the worker protocol over an established connection.
 
     With ``REPRO_FABRIC_SECRET`` set the first coordinator message
@@ -177,9 +122,6 @@ def serve_connection(sock: socket.socket, cache=None) -> None:
     anything else — including a bare ``task`` from an unauthenticated
     coordinator — closes the connection before any point runs.
     """
-    if cache is None:
-        from repro.experiments.executor import SweepCache
-        cache = SweepCache()
     secret = fabric_secret()
     nonce = os.urandom(16).hex()
     send_msg(sock, {"type": "hello", "pid": os.getpid(),
@@ -214,7 +156,7 @@ def serve_connection(sock: socket.socket, cache=None) -> None:
         if message is None or message.get("type") == "shutdown":
             return
         if message.get("type") == "task":
-            handle_task(sock, message, cache)
+            handle_task(sock, message)
         else:
             raise FrameError(
                 f"unexpected coordinator message {message.get('type')!r}")

@@ -20,8 +20,8 @@ machine-readable per-figure series and wall times.
 
 ``--workers host:port,...`` (or ``REPRO_FABRIC``) sends the points to
 long-lived remote workers instead. ``--fabric-trace PATH`` writes the
-coordinator's per-worker telemetry (queue depth, hedges, cache hits) as
-a JSONL log that ``python -m repro.obs.report`` renders.
+coordinator's per-worker telemetry (queue depth, completions, hedges)
+as a JSONL log that ``python -m repro.obs.report`` renders.
 
 ``--trace-out PATH`` runs the figures under an active ``repro.obs``
 context and writes a Chrome trace (open in Perfetto), a JSONL event log
@@ -32,8 +32,8 @@ hit would skip the simulation that produces the spans. Fabric workers
 trace their points locally and ship spans and telemetry back with
 their results; the coordinator merges them into one worker-tagged
 trace, and ``PATH.prom`` becomes the fleet-wide Prometheus dump
-(worker telemetry plus the fabric's per-worker cache/dispatch
-counters; DESIGN.md §10).
+(worker telemetry plus the fabric's per-worker dispatch counters;
+DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         dest="fabric_trace",
                         help="with --jobs N > 1, --workers or "
                              "REPRO_FABRIC: write per-worker fabric "
-                             "telemetry (queue depth, hedges, cache "
-                             "hits) as a repro.obs JSONL log to PATH "
+                             "telemetry (queue depth, completions, "
+                             "hedges) as a repro.obs JSONL log to PATH "
                              "(read with python -m repro.obs.report)")
     arguments = parser.parse_args(argv)
     if arguments.telemetry is not None and not arguments.trace_out:
@@ -187,8 +187,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"[fabric trace -> {arguments.fabric_trace}]")
         print(f"[fabric: {stats['workers']} workers, "
               f"{stats['completed']} computed, "
-              f"{stats['cache_local_hits'] + stats['cache_peer_hits']} "
-              f"cache hits, {stats['hedges_issued']} hedges "
+              f"{stats['hedges_issued']} hedges "
               f"({stats['hedges_won']} won), "
               f"{stats['requeued']} requeued]")
         fabric.close()

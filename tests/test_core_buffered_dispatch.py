@@ -64,11 +64,12 @@ def test_find_and_find_in_stream():
     buffered = BufferedSet(memory_budget=8 * MiB)
     buffered.allocate(1, 0, 0, 1 * MiB, now=0.0)
     buffered.allocate(2, 0, 10 * MiB, 1 * MiB, now=0.0)
-    assert buffered.find(0, 512 * KiB, 64 * KiB).stream_id == 1
-    assert buffered.find(0, 10 * MiB, 64 * KiB).stream_id == 2
-    assert buffered.find(1, 0, 64 * KiB) is None  # wrong disk
-    assert buffered.find_in_stream(2, 10 * MiB, 64 * KiB) is not None
+    assert buffered.find_in_stream(1, 512 * KiB, 64 * KiB).stream_id == 1
+    assert buffered.find_in_stream(2, 10 * MiB, 64 * KiB).stream_id == 2
+    assert buffered.find_in_stream(3, 0, 64 * KiB) is None  # no buffers
+    # Another stream's span on the same disk is not this stream's hit.
     assert buffered.find_in_stream(1, 10 * MiB, 64 * KiB) is None
+    assert buffered.find_in_stream(2, 1 * MiB - 1, 2) is None  # straddles
 
 
 def test_release_stream_reclaims_all():
@@ -91,8 +92,9 @@ def test_collect_reclaims_idle_filled_only():
     buffered.mark_filled(fresh, now=9.5)
     reclaimed = buffered.collect(now=10.0, timeout=4.0)
     assert reclaimed == 1 * MiB           # only the idle filled buffer
-    assert buffered.find(0, 10 * MiB, 1) is in_flight
-    assert buffered.find(0, 20 * MiB, 1) is fresh
+    assert buffered.find_in_stream(1, 0, 1) is None
+    assert buffered.find_in_stream(2, 10 * MiB, 1) is in_flight
+    assert buffered.find_in_stream(3, 20 * MiB, 1) is fresh
 
 
 def test_partial_consumes_keep_one_idle_heap_entry():

@@ -4,7 +4,7 @@ The fleet-scale data-plane work replaced linear scans in the stream
 server's hot paths with indexes (DESIGN.md "data-plane indexes"):
 
 * :class:`~repro.core.buffered_set.BufferedSet` — span indexes behind
-  ``find`` / ``find_in_stream`` and an idle heap behind ``collect``.
+  ``find_in_stream`` and an idle heap behind ``collect``.
 * :class:`~repro.core.dispatch.DispatchSet` — waiting-id map, per-disk
   FIFOs, and an incremental per-disk load counter behind ``admit_next``.
 * :class:`~repro.core.classifier.SequentialClassifier` — gap-bucket
@@ -54,8 +54,8 @@ class _ReferenceBufferedSet:
     """The pre-indexing BufferedSet: linear scans everywhere.
 
     Reuses the real :class:`StreamBuffer` so allocation semantics match;
-    ``find`` is a first-match scan in allocation order, ``collect`` a
-    full scan releasing in allocation order.
+    ``find_in_stream`` is a first-match scan in allocation order,
+    ``collect`` a full scan releasing in allocation order.
     """
 
     def __init__(self, memory_budget: int, on_change=None):
@@ -92,12 +92,6 @@ class _ReferenceBufferedSet:
         buffer.last_access = now
         waiters, buffer.waiters = buffer.waiters, []
         return waiters
-
-    def find(self, disk_id, offset, size):
-        for buffer in self._buffers.values():
-            if buffer.disk_id == disk_id and buffer.contains(offset, size):
-                return buffer
-        return None
 
     def find_in_stream(self, stream_id, offset, size):
         for buffer_id in self._by_stream.get(stream_id, ()):
@@ -352,14 +346,6 @@ class _BufferedHarness:
         assert released_ref == released_new
         assert ref_buf.consumed_until == new_buf.consumed_until
 
-    def op_find(self):
-        offset, size = self.random_range()
-        disk_id = self.rng.choice(self.DISKS)
-        ref_hit = self.ref.find(disk_id, offset, size)
-        new_hit = self.new.find(disk_id, offset, size)
-        assert self._ordinal(self.ref_ordinals, ref_hit) \
-            == self._ordinal(self.new_ordinals, new_hit)
-
     def op_find_in_stream(self):
         offset, size = self.random_range()
         stream_id = self.rng.choice(self.STREAMS)
@@ -410,8 +396,7 @@ class _BufferedHarness:
         (op_allocate, 30),
         (op_fill, 14),
         (op_consume, 14),
-        (op_find, 11),
-        (op_find_in_stream, 11),
+        (op_find_in_stream, 22),
         (op_collect, 8),
         (op_release_stream, 6),
         (op_discard, 6),
@@ -590,8 +575,7 @@ class _SequentialHarness(_BufferedHarness):
         (_BufferedHarness.op_allocate, 6),
         (_BufferedHarness.op_fill, 3),
         (_BufferedHarness.op_consume, 3),
-        (_BufferedHarness.op_find, 3),
-        (_BufferedHarness.op_find_in_stream, 3),
+        (_BufferedHarness.op_find_in_stream, 6),
         (_BufferedHarness.op_collect, 3),
         (_BufferedHarness.op_release_stream, 2),
         (_BufferedHarness.op_discard, 2),
@@ -616,7 +600,7 @@ def test_head_hit_matches_reference_lookup_and_walk(seed):
 
 
 def test_buffered_set_find_tie_breaks_to_oldest_overlap():
-    """Overlapping spans on one disk: both implementations return the
+    """Overlapping spans of one stream: both implementations return the
     oldest (lowest-id) containing buffer."""
     ref = _ReferenceBufferedSet(1024 * KiB)
     new = BufferedSet(1024 * KiB)
@@ -626,8 +610,8 @@ def test_buffered_set_find_tie_breaks_to_oldest_overlap():
     new_bufs = [new.allocate(1, 0, off, size, 0.0) for off, size in spans]
     for probe_off, probe_size in [(0, 4 * KiB), (16 * KiB, 8 * KiB),
                                   (16 * KiB, 16 * KiB), (48 * KiB, 8 * KiB)]:
-        ref_hit = ref.find(0, probe_off, probe_size)
-        new_hit = new.find(0, probe_off, probe_size)
+        ref_hit = ref.find_in_stream(1, probe_off, probe_size)
+        new_hit = new.find_in_stream(1, probe_off, probe_size)
         assert ref_bufs.index(ref_hit) == new_bufs.index(new_hit)
 
 

@@ -1,6 +1,6 @@
 """Distributed sweep fabric: protocol, determinism, failure handling.
 
-The load-bearing pins (ISSUE 7):
+The load-bearing pins:
 
 * **byte-identical output** — a fabric run (any worker count, hedging
   as aggressive as it gets) equals the serial sweep exactly; hedging's
@@ -8,14 +8,16 @@ The load-bearing pins (ISSUE 7):
 * **crash safety** — a worker killed mid-point loses nothing: the task
   is re-queued (bounded), the fabric respawns, and no partial value is
   ever cached;
-* **shared cache** — a cache-cold worker reuses a cache-warm peer's
-  result through the coordinator instead of recomputing.
+* **one cache** — ``run_sweep``'s store is the only cache: it stores
+  each computed key once, and a warm store dispatches nothing.
 """
 
 import io
 import json
 import os
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -24,7 +26,7 @@ from repro.experiments import SMOKE, executor, fig06_segsize
 from repro.experiments.base import ExperimentScale
 from repro.experiments.executor import (Point, SweepCache, SweepSpec,
                                         point_key, run_sweep)
-from repro.experiments.fabric import Fabric, FabricError
+from repro.experiments.fabric import Fabric, FabricError, coordinator
 from repro.experiments.fabric.protocol import (FrameBuffer, FrameError,
                                                WorkerSpec, parse_address,
                                                parse_spec, recv_msg,
@@ -181,8 +183,7 @@ def test_run_sweep_falls_back_when_fabric_breaks():
     class BrokenFabric(_RemoteDouble):
         calls = 0
 
-        def run_tasks(self, tasks, keys=None, use_cache=False,
-                      trace=None, obs_context=None):
+        def run_tasks(self, tasks, trace=None, obs_context=None):
             BrokenFabric.calls += 1
             raise FabricError("fabric unreachable")
 
@@ -194,12 +195,29 @@ def test_run_sweep_falls_back_when_fabric_breaks():
     assert serial.as_dict() == degraded.as_dict()
 
 
-def _cheap_spec(count):
+def _spec(point_fn, params):
     return SweepSpec(
-        experiment_id="cheap", title="t", x_label="x", y_label="y",
-        point_fn=_cheap_point,
-        points=tuple(Point(series="y", x=x, params={"x": x})
-                     for x in range(count)))
+        experiment_id="test", title="t", x_label="x", y_label="y",
+        point_fn=point_fn,
+        points=tuple(Point(series="y", x=x, params=p)
+                     for x, p in enumerate(params)))
+
+
+def _cheap_spec(count):
+    return _spec(_cheap_point, [{"x": x} for x in range(count)])
+
+
+def _count_puts(monkeypatch):
+    """Record the key of every ``SweepCache.put``; returns the list."""
+    keys = []
+    put = SweepCache.put
+
+    def counting_put(self, key, value):
+        keys.append(key)
+        put(self, key, value)
+
+    monkeypatch.setattr(SweepCache, "put", counting_put)
+    return keys
 
 
 def test_mixed_mode_small_sweeps_skip_the_fabric():
@@ -210,8 +228,7 @@ def test_mixed_mode_small_sweeps_skip_the_fabric():
         def __init__(self):
             self.calls = 0
 
-        def run_tasks(self, tasks, keys=None, use_cache=False,
-                      trace=None, obs_context=None):
+        def run_tasks(self, tasks, trace=None, obs_context=None):
             self.calls += 1
             return [fn(scale, params) for fn, scale, params in tasks]
 
@@ -265,136 +282,165 @@ def _identical(first, second):
         assert series_a.ys == series_b.ys  # exact ==, not approx
 
 
-def test_fabric_matches_serial_bit_identical_smoke():
+@pytest.fixture
+def eager_fabric(monkeypatch):
+    """Builds spawned fabrics that hedge every in-flight point as soon
+    as a worker idles: the most duplicate-heavy schedule possible."""
+    monkeypatch.setattr(coordinator, "_HEDGE_K", 0.0)
+    monkeypatch.setattr(coordinator, "_HEDGE_MIN_S", 0.0)
+
+    def build(spec):
+        fabric = Fabric(spec)
+        fabric.hedging = True
+        return fabric
+
+    return build
+
+
+def test_fabric_matches_serial_bit_identical_smoke(eager_fabric):
     """serial == fabric(1) == fabric(4, hedging maximally eager) on a
-    SMOKE figure — the ISSUE 7 determinism pin."""
+    SMOKE figure — the determinism pin."""
     spec = fig06_segsize.sweep()
     serial = run_sweep(spec, SMOKE, jobs=1, cache=False)
     with Fabric("1") as single:
         one = run_sweep(spec, SMOKE, jobs=1, cache=False, fabric=single)
-    # hedge_min_s=0/hedge_k=0 hedges every in-flight point as soon as
-    # a worker idles: the most duplicate-heavy schedule possible.
-    with Fabric("4", hedge_k=0.0, hedge_min_s=0.0) as hedged:
+    with eager_fabric("4") as hedged:
         four = run_sweep(spec, SMOKE, jobs=1, cache=False, fabric=hedged)
         assert hedged.duplicate_mismatches == 0
     _identical(serial, one)
     _identical(serial, four)
 
 
+@pytest.fixture
+def listen_worker(tmp_path):
+    """One ``worker --listen`` process on a Unix socket under
+    ``tmp_path``; yields the socket path."""
+    path = tmp_path / "w.sock"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(entry for entry in sys.path
+                                        if entry)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments.fabric", "worker",
+         "--listen", str(path)], env=env, stdin=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30.0
+        while not path.exists():
+            assert process.poll() is None, "listen worker exited"
+            assert time.monotonic() < deadline, "listen worker never bound"
+            time.sleep(0.02)
+        yield str(path)
+    finally:
+        process.kill()
+        process.wait()
+
+
+def test_dialed_worker_matches_serial_and_stores_each_key_once(
+        listen_worker, tmp_path, monkeypatch):
+    """A dialed ``--listen`` worker gives the serial bits; the
+    coordinator's store gets one ``put`` per computed key, and a warm
+    store sends the worker nothing."""
+    monkeypatch.setattr(executor, "_FABRICS", {})
+    spec = fig06_segsize.sweep()
+    serial = run_sweep(spec, SMOKE, jobs=1, cache=False)
+    keys = {point_key(point.fn or spec.point_fn, SMOKE, point.params)
+            for point in spec.points}
+    puts = _count_puts(monkeypatch)
+    root = tmp_path / "store"
+    cold = run_sweep(spec, SMOKE, jobs=1, cache_root=root,
+                     fabric=listen_worker)
+    fabric = executor._FABRICS[listen_worker]
+    try:
+        assert fabric.spec.addresses == (("unix", listen_worker),)
+        _identical(serial, cold)
+        assert sorted(puts) == sorted(keys)
+        assert fabric.completed == len(keys)
+        warm = run_sweep(spec, SMOKE, jobs=1, cache_root=root,
+                         fabric=listen_worker)
+        _identical(serial, warm)
+        assert fabric.completed == len(keys)  # nothing dispatched
+        assert len(puts) == len(keys)
+    finally:
+        fabric.close()
+
+
 def test_worker_killed_mid_point_requeues_and_never_caches_partial(
         tmp_path):
-    coord_root = tmp_path / "coord"
-    worker_root = tmp_path / "workers"
-    tasks = [(_die_once_point, TINY,
-              {"sentinel": str(tmp_path / f"sentinel-{i}")})
-             for i in range(2)]
-    keys = [point_key(fn, scale, params)
-            for fn, scale, params in tasks]
-    with Fabric("2", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(worker_root)}
-                ) as fabric:
-        values = fabric.run_tasks(tasks, keys=keys, use_cache=True)
-        assert values == [42.0, 42.0]
-        assert fabric.requeued == 2
-        assert fabric.workers_lost >= 2
+    root = tmp_path / "coord"
+    spec = _spec(_die_once_point,
+                 [{"sentinel": str(tmp_path / f"sentinel-{i}")}
+                  for i in range(executor.FABRIC_MIN_POINTS)])
+    with Fabric("2") as fabric:
+        result = run_sweep(spec, TINY, jobs=1, cache_root=root,
+                           fabric=fabric)
+        assert result.get("y").ys == [42.0] * len(spec.points)
+        assert fabric.requeued == len(spec.points)
+        assert fabric.workers_lost >= len(spec.points)
     # The kill happened mid-point: only the completed retry may be
     # cached, and it must be the full value.
-    store = SweepCache(str(worker_root))
-    for key in keys:
+    store = SweepCache(str(root))
+    for point in spec.points:
+        key = point_key(_die_once_point, TINY, point.params)
         assert store.get(key) == (True, 42.0)
-    # Every file under the shared root is a complete JSON document —
-    # no half-written temp garbage survived the crashes.
-    for path in worker_root.rglob("*"):
-        if path.is_file():
-            payload = json.loads(path.read_text())
-            assert payload["value"] == 42.0
-
-
-def test_cold_worker_reuses_warm_peer_result_via_coordinator(tmp_path):
-    coord_root = tmp_path / "coord"
-    worker_root = tmp_path / "worker"
-    task = (_cheap_point, TINY, {"x": 3})
-    key = point_key(*task)
-    # Another worker's past result lives in the coordinator's store.
-    SweepCache(str(coord_root)).put(key, 123.5)
-    with Fabric("1", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(worker_root)}
-                ) as fabric:
-        assert fabric.run_tasks([task], keys=[key],
-                                use_cache=True) == [123.5]
-        assert fabric.cache_peer_hits == 1
-        # The peer hit was copied into the worker's local tier: the
-        # second sweep answers without a coordinator round-trip.
-        assert fabric.run_tasks([task], keys=[key],
-                                use_cache=True) == [123.5]
-        assert fabric.cache_local_hits == 1
-    assert SweepCache(str(worker_root)).get(key) == (True, 123.5)
-
-
-def test_computed_result_written_back_to_coordinator_store(tmp_path):
-    coord_root = tmp_path / "coord"
-    task = (_cheap_point, TINY, {"x": 9})
-    key = point_key(*task)
-    expected = _cheap_point(TINY, {"x": 9})
-    # The worker caches on a *different* disk than the coordinator — the
-    # dial-out shape where, without write-back, the coordinator's store
-    # never learns computed values.
-    with Fabric("1", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(tmp_path / "w1")}
-                ) as fabric:
-        assert fabric.run_tasks([task], keys=[key],
-                                use_cache=True) == [expected]
-        assert fabric.cache_writebacks == 1
-        assert fabric.stats()["cache_writebacks"] == 1
-    # The computed value landed in the coordinator's store...
-    assert SweepCache(str(coord_root)).get(key) == (True, expected)
-    # ...so a fresh, cache-cold worker peer-hits instead of recomputing.
-    with Fabric("1", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(tmp_path / "w2")}
-                ) as fabric:
-        assert fabric.run_tasks([task], keys=[key],
-                                use_cache=True) == [expected]
-        assert fabric.cache_peer_hits == 1
-        assert fabric.cache_writebacks == 0  # peer hits are not computes
+    # Every file under the store is a complete JSON document — no
+    # half-written temp garbage survived the crashes.
+    files = [path for path in root.rglob("*") if path.is_file()]
+    assert len(files) == len(spec.points)
+    for path in files:
+        assert json.loads(path.read_text())["value"] == 42.0
 
 
 def test_cacheless_and_nan_results_are_not_written_back(tmp_path):
-    coord_root = tmp_path / "coord"
-    task = (_cheap_point, TINY, {"x": 1})
-    with Fabric("1", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(tmp_path / "w")}
-                ) as fabric:
-        # No keys / cache disabled: nothing may touch the store.
-        fabric.run_tasks([task])
-        assert fabric.cache_writebacks == 0
-        # NaN (the timed-out-point sentinel) is never cached anywhere.
-        nan_task = (_nan_point, TINY, {})
-        values = fabric.run_tasks([nan_task],
-                                  keys=[point_key(*nan_task)],
-                                  use_cache=True)
-        assert len(values) == 1 and values[0] != values[0]
-        assert fabric.cache_writebacks == 0
-    assert not (coord_root / "").exists() or not any(
-        path.is_file() for path in coord_root.rglob("*"))
+    """Over a fabric, a ``cache=False`` sweep stores nothing, and NaN
+    (the timed-out-point sentinel) is never stored."""
+    root = tmp_path / "coord"
+    count = executor.FABRIC_MIN_POINTS
+    with Fabric("1") as fabric:
+        run_sweep(_cheap_spec(count), TINY, jobs=1, cache=False,
+                  cache_root=root, fabric=fabric)
+        nan = run_sweep(_spec(_nan_point, [{"x": x} for x in range(count)]),
+                        TINY, jobs=1, cache_root=root, fabric=fabric)
+        assert fabric.completed == 2 * count
+    assert all(value != value for value in nan.get("y").ys)
+    assert not any(path.is_file() for path in root.rglob("*"))
+
+
+def test_spawned_workers_pair_with_their_processes():
+    """Each spawned worker holds its own process, whatever order the
+    processes connected in, so a worker that dies between runs is the
+    one replaced: the next run loses nothing and requeues nothing."""
+    tasks = [(_cheap_point, TINY, {"x": x}) for x in range(8)]
+    serial = [_cheap_point(TINY, {"x": x}) for x in range(8)]
+    with Fabric("4") as fabric:
+        assert fabric.run_tasks(tasks) == serial
+        workers = list(fabric._workers.values())
+        assert [worker.process.pid for worker in workers] \
+            == [worker.pid for worker in workers]
+        victim = workers[0].process
+        victim.kill()
+        victim.wait(timeout=10)
+        assert fabric.run_tasks(tasks) == serial
+        assert (fabric.requeued, fabric.workers_lost) == (0, 0)
+        assert len(fabric._workers) == 4
+        assert all(worker.process.pid == worker.pid
+                   for worker in fabric._workers.values())
 
 
 def test_authenticated_fabric_runs_points(monkeypatch):
     """Matched secrets: the mutual handshake completes and the fabric
     serves points exactly as an open fabric would."""
-    monkeypatch.delenv("REPRO_FABRIC_SECRET", raising=False)
-    secret = "tail-latency-pr-secret"
-    with Fabric("2", secret=secret) as fabric:
+    monkeypatch.setenv("REPRO_FABRIC_SECRET", "tail-latency-pr-secret")
+    with Fabric("2") as fabric:
         values = fabric.run_tasks([(_cheap_point, TINY, {"x": i})
                                    for i in range(4)])
     assert values == [_cheap_point(TINY, {"x": i}) for i in range(4)]
 
 
-def test_secret_mismatch_refuses_workers_before_tasks_flow(monkeypatch):
-    """Coordinator and worker with different secrets never exchange a
-    task: every worker is refused at the handshake and start() fails."""
-    monkeypatch.delenv("REPRO_FABRIC_SECRET", raising=False)
-    fabric = Fabric("1", secret="right-secret",
-                    worker_env={"REPRO_FABRIC_SECRET": "wrong-secret"})
+def _refused_start(monkeypatch, coordinator_secret, worker_secret):
+    """Build a fabric under one secret, spawn its worker under another
+    (workers inherit the environment at spawn), and expect refusal."""
+    monkeypatch.setenv("REPRO_FABRIC_SECRET", coordinator_secret)
+    fabric = Fabric("1")
+    monkeypatch.setenv("REPRO_FABRIC_SECRET", worker_secret)
     try:
         with pytest.raises(FabricError):
             fabric.start()
@@ -403,32 +449,24 @@ def test_secret_mismatch_refuses_workers_before_tasks_flow(monkeypatch):
         fabric.close()
 
 
+def test_secret_mismatch_refuses_workers_before_tasks_flow(monkeypatch):
+    """Coordinator and worker with different secrets never exchange a
+    task: every worker is refused at the handshake and start() fails."""
+    _refused_start(monkeypatch, "right-secret", "wrong-secret")
+
+
 def test_unauthenticated_worker_refused_by_secret_coordinator(
         monkeypatch):
     """A worker with no secret cannot join a secret-holding
     coordinator's fabric (empty env value means auth off)."""
-    monkeypatch.delenv("REPRO_FABRIC_SECRET", raising=False)
-    fabric = Fabric("1", secret="right-secret",
-                    worker_env={"REPRO_FABRIC_SECRET": ""})
-    try:
-        with pytest.raises(FabricError):
-            fabric.start()
-    finally:
-        fabric.close()
+    _refused_start(monkeypatch, "right-secret", "")
 
 
 def test_secretless_coordinator_refuses_auth_demanding_worker(
         monkeypatch):
     """The refusal is symmetric: a worker that demands auth is turned
     away by a coordinator that cannot provide it."""
-    monkeypatch.delenv("REPRO_FABRIC_SECRET", raising=False)
-    fabric = Fabric("1", secret="",
-                    worker_env={"REPRO_FABRIC_SECRET": "worker-secret"})
-    try:
-        with pytest.raises(FabricError):
-            fabric.start()
-    finally:
-        fabric.close()
+    _refused_start(monkeypatch, "", "worker-secret")
 
 
 def test_auth_proof_binds_role_and_nonce():
@@ -440,15 +478,13 @@ def test_auth_proof_binds_role_and_nonce():
     assert proof == auth_proof("s", "coordinator", "n")  # deterministic
 
 
-def test_backend_mismatched_worker_is_refused():
+def test_backend_mismatched_worker_is_refused(monkeypatch):
     """Cache keys embed the coordinator's event-core token, so a worker
-    on a different backend must not serve points."""
-    from repro.sim.eventcore import available_backends, resolve_backend
-    active = resolve_backend(None)
-    others = [b for b in available_backends() if b != active]
-    if not others:
-        pytest.skip("only one event-core backend available")
-    fabric = Fabric("1", worker_env={"REPRO_EVENTCORE": others[0]})
+    on a different backend must not serve points. The coordinator's
+    token is patched: the spawned worker reports its real one."""
+    monkeypatch.setattr(coordinator, "backend_token",
+                        lambda: "another-core")
+    fabric = Fabric("1")
     try:
         with pytest.raises(FabricError):
             fabric.start()
@@ -456,26 +492,23 @@ def test_backend_mismatched_worker_is_refused():
         fabric.close()
 
 
-def test_spawned_fabric_hedges_only_when_asked():
+def test_spawned_fabric_hedges_only_when_asked(eager_fabric):
     """Spawned workers are copies of one interpreter: a long task is a
-    long point, so they issue no hedges unless hedge_k/hedge_min_s are
-    given. Dialed workers keep the straggler defaults."""
+    long point, so they issue no hedges, even at a zero threshold.
+    Dialed workers hedge."""
     with Fabric("2") as fabric:
         assert not fabric.hedging
-        # Even a zero threshold issues no hedge on a spawned fabric.
-        fabric.hedge_k = fabric.hedge_min_s = 0.0
         assert fabric.run_tasks([(_slow_point, TINY, {"x": 7})]) == [7.5]
         assert fabric.hedges_issued == 0
-    with Fabric("2", hedge_k=0.0, hedge_min_s=0.0) as eager:
+    with eager_fabric("2") as eager:
         assert eager.run_tasks([(_slow_point, TINY, {"x": 7})]) == [7.5]
         assert eager.hedges_issued >= 1
-    dialed = Fabric("localhost:7070")
-    assert dialed.hedging
-    assert (dialed.hedge_k, dialed.hedge_min_s) == (3.0, 1.0)
+    assert Fabric("localhost:7070").hedging
 
 
-def test_eager_hedging_first_result_wins_and_telemetry_exports(tmp_path):
-    with Fabric("2", hedge_k=0.0, hedge_min_s=0.0) as fabric:
+def test_eager_hedging_first_result_wins_and_telemetry_exports(
+        tmp_path, eager_fabric):
+    with eager_fabric("2") as fabric:
         # One slow task, two workers: the idle worker immediately gets
         # a hedge copy; whichever finishes first wins.
         assert fabric.run_tasks([(_slow_point, TINY, {"x": 7})]) == [7.5]
@@ -518,9 +551,9 @@ def test_four_workers_overlap_sleep_paced_points():
     rates = {}
     for workers in (1, 4):
         with Fabric(str(workers)) as fabric:
-            assert fabric.run_tasks(tasks, use_cache=False) == serial
+            assert fabric.run_tasks(tasks) == serial
             started = time.perf_counter()
-            values = fabric.run_tasks(tasks, use_cache=False)
+            values = fabric.run_tasks(tasks)
             rates[workers] = len(tasks) / (time.perf_counter() - started)
         assert values == serial
     assert rates[4] >= 2.0 * rates[1], rates

@@ -137,6 +137,15 @@ def _read(offset, size=64 * KiB, stream_id=1):
                      stream_id=stream_id)
 
 
+def _staged(server, request):
+    """The buffer staging ``request``'s range in the server stream the
+    classifier detected for the request's client stream, if any."""
+    stream = next(stream for stream in server.classifier.streams.values()
+                  if stream.client_id == request.stream_id)
+    return server.buffered.find_in_stream(stream.stream_id, request.offset,
+                                          request.size)
+
+
 def test_server_memory_hit_spawns_no_process(spawned):
     sim = Simulator()
     node = build_node(sim, base_topology(
@@ -153,7 +162,7 @@ def test_server_memory_hit_spawns_no_process(spawned):
             yield server.submit(_read(offset))
             offset += 64 * KiB
         yield sim.timeout(0.1)  # let the in-flight fetch fill
-        buffer = server.buffered.find(0, offset, 64 * KiB)
+        buffer = _staged(server, _read(offset))
         assert buffer is not None and buffer.filled
         seen["hits"] = server.stats.counter("staged_hits").count
         seen["completed"] = completed.count
@@ -198,7 +207,7 @@ def test_overlapping_staged_hits_complete_in_start_order():
     requests = [_read(starts[stream_id] + 1 * MiB, stream_id=stream_id)
                 for stream_id in starts]
     for request in requests:
-        buffer = server.buffered.find(0, request.offset, request.size)
+        buffer = _staged(server, request)
         assert buffer is not None and buffer.filled
     completed = []
     first = server.submit(requests[0])

@@ -182,14 +182,12 @@ def test_fabric_traced_run_merges_spans_and_matches_serial(tmp_path):
     assert len(session.spans) == 12
     workers = {span.args.get("worker") for span in session.spans.spans}
     assert workers and all(isinstance(w, int) for w in workers)
-    # Tracing disabled the cache: all points computed.
     assert stats["completed"] == 6
-    assert stats["cache_local_hits"] == 0 and stats["cache_peer_hits"] == 0
     # Per-worker counter rows made it into the fleet metric dump.
     per_worker = [name for name in metrics if ".w" in name]
     assert any(name.endswith(".completed") for name in per_worker)
     assert sum(metrics[name][1] for name in per_worker
-               if name.endswith(".computed")) == 6
+               if name.endswith(".completed")) == 6
     # The merged context exports a schema-valid worker-tagged trace.
     path = tmp_path / "merged.json"
     export_chrome_trace(session, str(path), meta={"fabric": "2"})
