@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.bitmap import BitmapTable
 from repro.core.params import ServerParams
 from repro.core.stream import StreamQueue
-from repro.io import IORequest
+from repro.io import IOKind, IORequest
 
 __all__ = ["SequentialClassifier"]
 
@@ -75,15 +75,25 @@ class SequentialClassifier:
         A matching stream's expected-next index is advanced to the
         request's end.
         """
-        if not request.is_read:
+        if request.kind is not IOKind.READ:
             self.direct += 1
             return None
-        key = (request.disk_id, request.offset)
-        stream = self._by_next.get(key)
-        if stream is None and self.params.gap_tolerance:
-            stream = self._match_with_gap(request)
+        offset = request.offset
+        key = (request.disk_id, offset)
+        by_next = self._by_next
+        stream = by_next.get(key)
+        if self.params.gap_tolerance:
+            if stream is None:
+                stream = self._match_with_gap(request)
+            if stream is not None:
+                self._advance(stream, offset + request.size)
+        elif stream is not None:
+            # _advance, inlined: the entry found under ``key`` is the
+            # stream's own (disk_id, client_next) entry.
+            del by_next[key]
+            stream.client_next = end = offset + request.size
+            by_next[(request.disk_id, end)] = stream
         if stream is not None:
-            self._advance(stream, request.end)
             stream.last_activity = now
             try:
                 self._activity.move_to_end(stream.stream_id)

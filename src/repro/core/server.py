@@ -312,7 +312,7 @@ class StreamServer:
 
     def _accept(self, request: IORequest, event: Event) -> Event:
         """Route an admitted request; returns the client-facing event."""
-        if not request.is_read:
+        if request.kind is not IOKind.READ:
             if self.write_coalescer is not None:
                 return self.write_coalescer.write(request)
             if self._obs_on:
@@ -341,16 +341,19 @@ class StreamServer:
                 self._obs_phase(request, "server.direct")
             self._issue_direct(request, event)
             return event
-        end = request.end
+        end = request.offset + request.size
         if end <= stream.fetch_next:
+            sim = self.sim
             if self.buffered.consume_head(stream.stream_id, end,
-                                          self.sim.now) is not None:
+                                          sim.now) is not None:
                 # Head-buffer hit: the common case, with no lookup and
-                # no walk (DESIGN.md §4).
+                # no walk (DESIGN.md §4). _finish_later, inlined.
                 if self._obs_on:
                     self._obs_phase(request, "server.memhit")
                 self._c_staged_hits.add(request.size)
-                self._finish_later(request, event)
+                self._copies.append((request, event))
+                sim.timeout(self._copy_s).callbacks.append(
+                    self._copy_done_cb)
                 return event
             # Otherwise find the buffer holding the request's last byte
             # (fills are in order, so once it fills everything before

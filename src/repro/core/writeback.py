@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.io import BlockDevice, IOKind, IORequest, stamp_submit
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 from repro.sim.events import Event
 from repro.sim.stats import StatsRegistry
 from repro.units import MiB, SECTOR_BYTES
@@ -75,6 +75,92 @@ class _GatherBuffer:
         return self.offset + self.size
 
 
+class _Absorb:
+    """One client write through the coalescer, as callbacks.
+
+    A write that does not continue its stream's gather buffer first
+    flushes that buffer. While the write would overrun the budget, the
+    oldest buffer is flushed and the write waits for it. Then the write
+    joins its buffer, is acknowledged after ``ack_cost_s``, and a buffer
+    that reached ``coalesce_bytes`` is flushed before the background
+    flusher is (re)started.
+
+    :meth:`WriteCoalescer.write` starts it with one zero-delay timeout,
+    the push a Process bootstrap would make (DESIGN.md §4, "Hops that
+    wait"). A flush that fails before the acknowledgement fails the
+    write's event; one that fails after it has nobody to tell, and
+    stops the run.
+    """
+
+    __slots__ = ("wb", "request", "event", "key", "buffer")
+
+    def __init__(self, wb: "WriteCoalescer", request: IORequest,
+                 event: Event):
+        self.wb = wb
+        self.request = request
+        self.event = event
+        self.key = (request.disk_id, request.stream_id)
+
+    def start(self, _event: Event) -> None:
+        wb = self.wb
+        buffer = wb._buffers.get(self.key)
+        if buffer is not None and self.request.offset != buffer.end:
+            # Non-contiguous: flush the old run before starting anew.
+            flushed = wb._submit_flush(self.key)
+            if flushed is not None:
+                flushed.callbacks.append(self.budget)
+                return
+        self.budget()
+
+    def budget(self, flushed: Optional[Event] = None) -> None:
+        if flushed is not None and not flushed._ok:
+            self.event.fail(flushed._value)
+            return
+        wb = self.wb
+        request = self.request
+        budget = wb.params.memory_budget
+        while wb.dirty_bytes + request.size > budget:
+            # write() refused requests above the budget, so a buffer
+            # holds the excess and there is always one to flush.
+            flushed = wb._submit_flush(wb._oldest_key())
+            if flushed is not None:
+                flushed.callbacks.append(self.budget)
+                return
+        # Look the buffer up again: the budget wait may have flushed it,
+        # and a write added to a flushed buffer is acknowledged but never
+        # written.
+        sim = wb.sim
+        buffer = wb._buffers.get(self.key)
+        if buffer is None:
+            buffer = _GatherBuffer(request.disk_id, request.offset, sim.now)
+            wb._buffers[self.key] = buffer
+        buffer.size += request.size
+        buffer.last_write = sim.now
+        wb.dirty_bytes += request.size
+        wb.stats.counter("absorbed").add(request.size)
+        self.buffer = buffer
+        sim.timeout(wb.params.ack_cost_s).callbacks.append(self.acked)
+
+    def acked(self, _timeout: Event) -> None:
+        wb = self.wb
+        request = self.request
+        request.complete_time = wb.sim.now
+        self.event.succeed(request)
+        if self.buffer.size >= wb.params.coalesce_bytes:
+            flushed = wb._submit_flush(self.key)
+            if flushed is not None:
+                flushed.callbacks.append(self.flushed)
+                return
+        wb._ensure_flusher()
+
+    def flushed(self, flushed: Event) -> None:
+        if not flushed._ok:
+            raise SimulationError(
+                f"coalesced flush for {self.request!r} failed "
+                f"after its acknowledgement") from flushed._value
+        self.wb._ensure_flusher()
+
+
 class WriteCoalescer:
     """Gathers sequential small writes into large disk writes.
 
@@ -95,65 +181,55 @@ class WriteCoalescer:
         self.dirty_bytes = 0
         self.stats = StatsRegistry()
         self._flusher_running = False
+        self._write_name = f"{name}.write"
 
     # -- client API -----------------------------------------------------------
     def write(self, request: IORequest) -> Event:
-        """Absorb a write; completes at ack (write-behind semantics)."""
+        """Absorb a write; completes at ack (write-behind semantics).
+
+        A write larger than ``memory_budget`` could never be absorbed,
+        so it is refused before anything is created or scheduled.
+        """
         if request.kind is not IOKind.WRITE:
             raise ValueError(f"write() got {request!r}")
+        if request.size > self.params.memory_budget:
+            raise ValueError(
+                f"{request!r}: write of {request.size} bytes exceeds "
+                f"memory_budget {self.params.memory_budget}")
         stamp_submit(request, self.sim.now)
-        event = self.sim.event(name=f"wb{request.request_id}")
-        self.sim.process(self._absorb(request, event),
-                         name=f"{self.name}.absorb")
+        event = self.sim.event(self._write_name)
+        self.sim.timeout(0.0).callbacks.append(
+            _Absorb(self, request, event).start)
         return event
 
-    def _absorb(self, request: IORequest, event: Event):
-        params = self.params
-        key = (request.disk_id, request.stream_id)
-        buffer = self._buffers.get(key)
-        if buffer is not None and request.offset != buffer.end:
-            # Non-contiguous: flush the old run before starting anew.
-            yield from self._flush(key)
-        while self.dirty_bytes + request.size > params.memory_budget:
-            yield from self._flush_oldest()
-        # Look the buffer up again: the budget wait may have flushed it,
-        # and a write added to a flushed buffer is acknowledged but never
-        # written.
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = _GatherBuffer(request.disk_id, request.offset,
-                                   self.sim.now)
-            self._buffers[key] = buffer
-        buffer.size += request.size
-        buffer.last_write = self.sim.now
-        self.dirty_bytes += request.size
-        self.stats.counter("absorbed").add(request.size)
-        yield self.sim.timeout(params.ack_cost_s)
-        request.complete_time = self.sim.now
-        event.succeed(request)
-        if buffer.size >= params.coalesce_bytes:
-            yield from self._flush(key)
-        self._ensure_flusher()
-
     # -- flushing -----------------------------------------------------------------
-    def _flush(self, key) -> "object":
+    def _submit_flush(self, key) -> Optional[Event]:
+        """Submit ``key``'s gather buffer as one disk write; its event,
+        or None when there is nothing to write."""
         buffer = self._buffers.pop(key, None)
         if buffer is None or buffer.size == 0:
-            return
+            return None
         self.dirty_bytes -= buffer.size
         flush = IORequest(kind=IOKind.WRITE, disk_id=buffer.disk_id,
                           offset=buffer.offset, size=buffer.size,
                           stream_id=key[1])
         flush.annotations["core.writeback"] = True
         self.stats.counter("flushes").add(buffer.size)
-        yield self.device.submit(flush)
+        return self.device.submit(flush)
 
-    def _flush_oldest(self):
+    def _flush(self, key):
+        """:meth:`_submit_flush`, then wait for the write (background
+        loops)."""
+        done = self._submit_flush(key)
+        if done is not None:
+            yield done
+
+    def _oldest_key(self):
+        """Key of the least recently written gather buffer, or None."""
         if not self._buffers:
-            return
-        key = min(self._buffers,
-                  key=lambda k: self._buffers[k].last_write)
-        yield from self._flush(key)
+            return None
+        return min(self._buffers,
+                   key=lambda k: self._buffers[k].last_write)
 
     def flush_all(self) -> Event:
         """Barrier: returns an event firing once all dirty data is on

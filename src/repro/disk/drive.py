@@ -133,6 +133,317 @@ class _Completion:
         self.event.succeed(request)
 
 
+class _Worker:
+    """One busy period of the drive's mechanical timeline, as callbacks.
+
+    :meth:`DiskDrive._kick_worker` starts one with one zero-delay
+    timeout, the push a Process bootstrap would make (DESIGN.md §4,
+    "Hops that wait"). :meth:`run` is the service loop: it picks the
+    next job and returns when the job waits on a timeout. The job's last
+    step calls :meth:`served` or :meth:`worked`, and the loop goes on
+    from there. The busy period ends when there is no job. The drive
+    keeps no reference to its worker, so a drive never sits in a
+    reference cycle with it.
+
+    The firmware only reorders within its small internal queue
+    (``spec.queue_depth`` commands); the backlog drains into it FIFO.
+    This bounded reorder window is what makes cache segments mortal
+    under many streams — with an unbounded window the head would always
+    favour the freshly prefetched stream and segments would never
+    thrash.
+
+    Jobs, in priority order: a queued command; destaging the oldest
+    dirty write run; an idle read-ahead run. Reads, writes and destages
+    all reach the media through :meth:`move`.
+    """
+
+    __slots__ = ("drive", "started", "queued", "request", "lba", "nsectors",
+                 "then", "span", "segment", "remaining")
+
+    def __init__(self, drive: "DiskDrive"):
+        self.drive = drive
+        self.span = None
+
+    def run(self, _event: Optional[Event] = None) -> None:
+        drive = self.drive
+        sim = drive.sim
+        waiting = drive._waiting
+        active = drive._active
+        queue_depth = drive.spec.queue_depth
+        policy = drive._policy
+        while True:
+            if waiting or active:
+                while waiting and len(active) < queue_depth:
+                    active.append(waiting.popleft())
+                if len(active) == 1:
+                    # Sole candidate: every policy picks index 0; only
+                    # its selection side effects (LOOK's sweep
+                    # direction) still need to run.
+                    queued = active.pop()
+                    policy.select_one(queued.cylinder, drive._head_cylinder)
+                else:
+                    index = policy.select([q.cylinder for q in active],
+                                          drive._head_cylinder)
+                    queued = active.pop(index)
+                self.started = sim.now
+                if self.service(queued):
+                    return
+                drive._idle_credit = 1
+            elif drive._dirty:
+                # Destage dirty write data at lower priority than reads.
+                self.started = sim.now
+                self.destage()
+                return
+            elif drive._idle_credit > 0 and drive._can_idle_prefetch():
+                self.started = sim.now
+                if self.idle_prefetch():
+                    return
+            else:
+                drive._worker_running = False
+                return
+
+    def served(self) -> None:
+        """A command's service ended: book it, then loop."""
+        drive = self.drive
+        drive.busy_time += drive.sim.now - self.started
+        drive._idle_credit = 1
+        self.run()
+
+    def worked(self) -> None:
+        """A destage or idle read-ahead run ended: book it, then loop."""
+        drive = self.drive
+        drive.busy_time += drive.sim.now - self.started
+        self.run()
+
+    def end_span(self) -> None:
+        """Close the open phase span (tracing only)."""
+        span, self.span = self.span, None
+        self.drive._obs.spans.end(span, self.drive.sim.now)
+
+    # -- commands ----------------------------------------------------------
+    def service(self, queued: _Queued) -> bool:
+        """Start servicing ``queued``; False when it finished at once."""
+        drive = self.drive
+        request = queued.request
+        if drive._obs_on:
+            span = request.annotations.pop("obs.diskq", None)
+            if span is not None:
+                drive._obs.spans.end(span, drive.sim.now)
+        start_lba = queued.start_lba
+        nsectors = queued.nsectors
+        self.queued = queued
+        if request.kind is IOKind.READ:
+            covered = drive.cache.lookup(start_lba, nsectors)
+            if covered == nsectors:
+                # Filled (e.g. by read-ahead) while waiting in the queue.
+                request.annotations["disk.hit"] = "queue"
+                drive._complete(request, queued.event)
+                return False
+            self.move(request, start_lba + covered, nsectors - covered,
+                      self.read_done)
+        else:
+            drive.cache.invalidate(start_lba, nsectors)
+            self.move(request, start_lba, nsectors, self.write_done)
+        return True
+
+    def read_done(self) -> None:
+        drive = self.drive
+        queued = self.queued
+        segment = drive._insert_demand(self.lba, self.nsectors)
+        drive._tail_segment = segment
+        drive._c_media_read.add(self.nsectors * SECTOR_BYTES)
+        # Demand satisfied: complete to the host while read-ahead
+        # continues. The interface transfer overlapped the (slower)
+        # media read.
+        drive._complete(queued.request, queued.event,
+                        charge_interface=False)
+        if not self.read_ahead(segment):
+            self.served()
+
+    def write_done(self) -> None:
+        drive = self.drive
+        queued = self.queued
+        drive._c_media_write.add(self.nsectors * SECTOR_BYTES)
+        drive._complete(queued.request, queued.event)
+        self.served()
+
+    def read_ahead(self, segment) -> bool:
+        """Continue reading into ``segment`` while holding the head;
+        False when there is nothing to read."""
+        drive = self.drive
+        start = drive._media_end_lba
+        if start is None:
+            return False
+        space = drive.cache.space_left(segment)
+        target = drive.spec.read_ahead_bytes
+        if target is not None:
+            space = min(space, target // SECTOR_BYTES)
+        space = min(space, drive.geometry.total_sectors - start)
+        if space <= 0:
+            return False
+        if segment.end != start:
+            # Demand was tail-inserted from a multi-segment read and the
+            # segment is full, or positions diverged: nothing to extend.
+            return False
+        sim = drive.sim
+        transfer = drive.mechanics.transfer_time(start, space)
+        if drive._obs_on:
+            # Overlaps the demand completion (the head keeps reading
+            # while the host is answered), so attribution ignores it —
+            # it exists for the timeline view.
+            self.span = drive._obs.begin_child(
+                self.queued.request, "disk.readahead", "disk", sim.now,
+                args={"sectors": space})
+        self.segment = segment
+        self.lba = start
+        self.nsectors = space
+        sim.timeout(transfer).callbacks.append(self.read_ahead_done)
+        return True
+
+    def read_ahead_done(self, _timeout: Event) -> None:
+        if self.span is not None:
+            self.end_span()
+        drive = self.drive
+        drive._advance_media(self.lba, self.nsectors)
+        if drive.cache.is_live(self.segment):
+            drive.cache.fill(self.segment, self.nsectors, prefetch=True)
+        drive._c_readahead.add(self.nsectors * SECTOR_BYTES)
+        self.served()
+
+    # -- background work -----------------------------------------------------
+    def destage(self) -> None:
+        """Write the oldest dirty run to media and release its budget."""
+        start_lba, nsectors = self.drive._dirty.popleft()
+        self.move(None, start_lba, nsectors, self.destaged)
+
+    def destaged(self) -> None:
+        drive = self.drive
+        nbytes = self.nsectors * SECTOR_BYTES
+        drive._dirty_sectors -= self.nsectors
+        drive.stats.counter("media_write").add(nbytes)
+        drive.stats.counter("destaged").add(nbytes)
+        if not drive._dirty and drive._flush_waiters:
+            waiters, drive._flush_waiters = drive._flush_waiters, []
+            for waiter in waiters:
+                waiter.succeed()
+        self.worked()
+
+    def idle_prefetch(self) -> bool:
+        """Continue sequential read-ahead while the queue is idle.
+
+        Reads one further segment in interruptible chunks: a command
+        arriving mid-prefetch stops the run at the next chunk boundary —
+        real firmware aborts read-ahead for new work the same way.
+        False when there is nothing to read.
+        """
+        drive = self.drive
+        drive._idle_credit = 0
+        start = drive._media_end_lba
+        remaining = min(drive.cache.segment_sectors,
+                        drive.geometry.total_sectors - start)
+        if remaining <= 0:
+            return False
+        self.segment = drive._tail_segment = drive.cache.allocate(start)
+        self.remaining = remaining
+        return self.idle_chunk()
+
+    def idle_chunk(self) -> bool:
+        """Start the next chunk, unless the run is over or a command
+        arrived."""
+        drive = self.drive
+        if self.remaining <= 0 or drive._waiting or drive._active:
+            return False
+        chunk = min(drive._idle_chunk_sectors, self.remaining)
+        self.nsectors = chunk
+        drive.sim.timeout(drive.mechanics.transfer_time(
+            drive._media_end_lba, chunk)).callbacks.append(self.idle_filled)
+        return True
+
+    def idle_filled(self, _timeout: Event) -> None:
+        drive = self.drive
+        chunk = self.nsectors
+        if drive.cache.is_live(self.segment):
+            drive.cache.fill(self.segment, chunk, prefetch=True)
+            drive._advance_media(drive._media_end_lba, chunk)
+            drive._c_readahead.add(chunk * SECTOR_BYTES)
+            self.remaining -= chunk
+            if self.idle_chunk():
+                return
+        self.worked()
+
+    # -- media access ----------------------------------------------------------
+    def move(self, request: Optional[IORequest], lba: int, nsectors: int,
+             then) -> None:
+        """Seek to ``lba``, wait out the rotational latency, transfer
+        ``nsectors``, then call ``then()``.
+
+        No seek and no rotation when the head is already streaming at
+        ``lba``. In POSITIONED rotation mode the rotational wait is
+        computed *after* the seek completes — the platter kept spinning
+        while the arm moved. ``request`` (when tracing) gets the
+        seek/rotate/transfer phase spans; destage has none.
+        """
+        drive = self.drive
+        self.request = request
+        self.lba = lba
+        self.nsectors = nsectors
+        self.then = then
+        if drive._media_end_lba == lba:
+            self.transfer()
+            return
+        distance = abs(drive._cylinder_of_lba(lba) - drive._head_cylinder)
+        seek = drive.mechanics.seek_model.seek_time(distance)
+        drive._c_seeks.add()
+        if seek > 0:
+            sim = drive.sim
+            if drive._obs_on and request is not None:
+                self.span = drive._obs.begin_child(
+                    request, "disk.seek", "disk", sim.now,
+                    args={"cylinders": distance})
+            sim.timeout(seek).callbacks.append(self.rotate)
+        else:
+            self.rotate()
+
+    def rotate(self, _seek: Optional[Event] = None) -> None:
+        if self.span is not None:
+            self.end_span()
+        drive = self.drive
+        sim = drive.sim
+        if drive.config.rotation_mode is RotationMode.POSITIONED:
+            rotation = drive.mechanics.rotational_latency(
+                now=sim.now, target_lba=self.lba)
+        else:
+            rotation = drive.mechanics.rotational_latency()
+        if rotation > 0:
+            if drive._obs_on and self.request is not None:
+                self.span = drive._obs.begin_child(
+                    self.request, "disk.rotate", "disk", sim.now)
+            sim.timeout(rotation).callbacks.append(self.transfer)
+        else:
+            self.transfer()
+
+    def transfer(self, _rotation: Optional[Event] = None) -> None:
+        if self.span is not None:
+            self.end_span()
+        drive = self.drive
+        sim = drive.sim
+        transfer = drive.mechanics.transfer_time(self.lba, self.nsectors)
+        if drive._obs_on and self.request is not None:
+            self.span = drive._obs.begin_child(
+                self.request, "disk.transfer", "disk", sim.now,
+                args={"sectors": self.nsectors})
+        sim.timeout(transfer).callbacks.append(self.transferred)
+
+    def transferred(self, _timeout: Event) -> None:
+        if self.span is not None:
+            self.end_span()
+        self.drive._advance_media(self.lba, self.nsectors)
+        # Drop the bound method: a finished worker must not keep itself
+        # (and its drive) alive in a reference cycle.
+        then, self.then = self.then, None
+        then()
+
+
 class DiskDrive:
     """A single disk drive implementing :class:`repro.io.BlockDevice`.
 
@@ -153,8 +464,7 @@ class DiskDrive:
         "interface", "stats", "_active", "_waiting", "_policy",
         "_head_cylinder", "_media_end_lba", "_worker_running", "busy_time",
         "_tail_segment", "_idle_credit", "_idle_chunk_sectors", "_dirty",
-        "_dirty_sectors", "_flush_waiters", "_worker_name",
-        "_capacity_bytes", "_cmd_overhead",
+        "_dirty_sectors", "_flush_waiters", "_capacity_bytes", "_cmd_overhead",
         "_cylinder_of_lba", "_c_completed",
         "_c_media_read", "_c_media_write", "_c_readahead", "_c_seeks",
         "_obs", "_obs_on",
@@ -212,7 +522,6 @@ class DiskDrive:
         self._dirty: deque[tuple[int, int]] = deque()
         self._dirty_sectors = 0
         self._flush_waiters: List[Event] = []
-        self._worker_name = f"{self.name}.worker"
         # Hot-path metric objects, resolved once: StatsRegistry.counter()
         # is a dict probe + method call per update, and completions alone
         # touch two metrics per request.
@@ -250,7 +559,7 @@ class DiskDrive:
         Read requests fully covered by the cache complete without touching
         the mechanics (fast path).
         """
-        # Alignment is enforced by IORequest.__post_init__, so plain
+        # Alignment is enforced by IORequest's constructor, so plain
         # floor division replaces the re-validating sectors() helper on
         # this once-per-request path.
         offset = request.offset
@@ -298,7 +607,7 @@ class DiskDrive:
     def _kick_worker(self) -> None:
         if not self._worker_running:
             self._worker_running = True
-            self.sim.process(self._worker(), name=self._worker_name)
+            self.sim.timeout(0.0).callbacks.append(_Worker(self).run)
 
     def _dirty_covers(self, start_lba: int, nsectors: int) -> bool:
         """Whole range inside one not-yet-destaged dirty run? (WCE
@@ -341,71 +650,7 @@ class DiskDrive:
         """Currently pending (not yet serviced) commands."""
         return len(self._waiting) + len(self._active)
 
-    # -- service paths -----------------------------------------------------------
-    def _worker(self):
-        """Mechanical timeline: service pending commands one at a time.
-
-        The firmware only reorders within its small internal queue
-        (``spec.queue_depth`` commands); the backlog drains into it FIFO.
-        This bounded reorder window is what makes cache segments mortal
-        under many streams — with an unbounded window the head would
-        always favour the freshly prefetched stream and segments would
-        never thrash.
-        """
-        sim = self.sim
-        waiting = self._waiting
-        active = self._active
-        select = self._policy.select
-        select_one = self._policy.select_one
-        queue_depth = self.spec.queue_depth
-        pop_waiting = waiting.popleft
-        push_active = active.append
-        while True:
-            if waiting or active:
-                while waiting and len(active) < queue_depth:
-                    push_active(pop_waiting())
-                if len(active) == 1:
-                    # Sole candidate: every policy picks index 0; only
-                    # its selection side effects (LOOK's sweep
-                    # direction) still need to run.
-                    queued = active.pop()
-                    select_one(queued.cylinder, self._head_cylinder)
-                else:
-                    index = select([q.cylinder for q in active],
-                                   self._head_cylinder)
-                    queued = active.pop(index)
-                started = sim.now
-                yield from self._service(queued)
-                self.busy_time += sim.now - started
-                self._idle_credit = 1
-            elif self._dirty:
-                # Destage dirty write data at lower priority than reads.
-                started = self.sim.now
-                yield from self._destage_one()
-                self.busy_time += self.sim.now - started
-            elif self._idle_credit > 0 and self._can_idle_prefetch():
-                started = self.sim.now
-                yield from self._idle_prefetch()
-                self.busy_time += self.sim.now - started
-            else:
-                break
-        self._worker_running = False
-
-    def _destage_one(self):
-        """Write the oldest dirty run to media and release its budget."""
-        start_lba, nsectors = self._dirty.popleft()
-        yield from self._position(start_lba)
-        yield self.sim.timeout(
-            self.mechanics.transfer_time(start_lba, nsectors))
-        self._advance_media(start_lba, nsectors)
-        self._dirty_sectors -= nsectors
-        self.stats.counter("media_write").add(nsectors * SECTOR_BYTES)
-        self.stats.counter("destaged").add(nsectors * SECTOR_BYTES)
-        if not self._dirty and self._flush_waiters:
-            waiters, self._flush_waiters = self._flush_waiters, []
-            for waiter in waiters:
-                waiter.succeed()
-
+    # -- service helpers (the worker's) ------------------------------------
     def _can_idle_prefetch(self) -> bool:
         """True when the tail segment can be extended into a new one."""
         if self.spec.read_ahead_bytes == 0 or self._media_end_lba is None:
@@ -413,138 +658,6 @@ class DiskDrive:
         tail = self._tail_segment
         return (tail is not None and self.cache.is_live(tail)
                 and tail.end == self._media_end_lba)
-
-    def _idle_prefetch(self):
-        """Continue sequential read-ahead while the queue is idle.
-
-        Reads one further segment in interruptible chunks: a command
-        arriving mid-prefetch stops the run at the next chunk boundary —
-        real firmware aborts read-ahead for new work the same way.
-        """
-        self._idle_credit = 0
-        start = self._media_end_lba
-        remaining = min(self.cache.segment_sectors,
-                        self.geometry.total_sectors - start)
-        if remaining <= 0:
-            return
-        segment = self.cache.allocate(start)
-        self._tail_segment = segment
-        while remaining > 0 and not (self._waiting or self._active):
-            chunk = min(self._idle_chunk_sectors, remaining)
-            yield self.sim.timeout(
-                self.mechanics.transfer_time(self._media_end_lba, chunk))
-            if not self.cache.is_live(segment):
-                return
-            self.cache.fill(segment, chunk, prefetch=True)
-            self._advance_media(self._media_end_lba, chunk)
-            self._c_readahead.add(chunk * SECTOR_BYTES)
-            remaining -= chunk
-
-    def _service(self, queued: _Queued):
-        request = queued.request
-        start_lba = queued.start_lba
-        nsectors = queued.nsectors
-        if self._obs_on:
-            span = request.annotations.pop("obs.diskq", None)
-            if span is not None:
-                self._obs.spans.end(span, self.sim.now)
-        if request.is_read:
-            yield from self._service_read(request, queued.event,
-                                          start_lba, nsectors)
-        else:
-            yield from self._service_write(request, queued.event,
-                                           start_lba, nsectors)
-
-    def _service_read(self, request: IORequest, event: Event,
-                      start_lba: int, nsectors: int):
-        sim = self.sim
-        covered = self.cache.lookup(start_lba, nsectors)
-        if covered == nsectors:
-            # Filled (e.g. by read-ahead) while waiting in the queue.
-            request.annotations["disk.hit"] = "queue"
-            self._complete(request, event)
-            return
-        missing_start = start_lba + covered
-        missing = nsectors - covered
-        yield from self._position(missing_start, request=request)
-        transfer = self.mechanics.transfer_time(missing_start, missing)
-        if self._obs_on:
-            span = self._obs.begin_child(
-                request, "disk.transfer", "disk", sim.now,
-                args={"sectors": missing})
-            yield sim.timeout(transfer)
-            self._obs.spans.end(span, sim.now)
-        else:
-            yield sim.timeout(transfer)
-        self._advance_media(missing_start, missing)
-        segment = self._insert_demand(missing_start, missing)
-        self._tail_segment = segment
-        self._c_media_read.add(missing * SECTOR_BYTES)
-        # Demand satisfied: complete to the host while read-ahead continues.
-        # The interface transfer overlapped the (slower) media read.
-        self._complete(request, event, charge_interface=False)
-        if segment is not None:
-            yield from self._read_ahead(segment, request=request)
-
-    def _service_write(self, request: IORequest, event: Event,
-                       start_lba: int, nsectors: int):
-        self.cache.invalidate(start_lba, nsectors)
-        yield from self._position(start_lba, request=request)
-        transfer = self.mechanics.transfer_time(start_lba, nsectors)
-        if self._obs_on:
-            span = self._obs.begin_child(
-                request, "disk.transfer", "disk", self.sim.now,
-                args={"sectors": nsectors})
-            yield self.sim.timeout(transfer)
-            self._obs.spans.end(span, self.sim.now)
-        else:
-            yield self.sim.timeout(transfer)
-        self._advance_media(start_lba, nsectors)
-        self._c_media_write.add(nsectors * SECTOR_BYTES)
-        self._complete(request, event)
-
-    def _position(self, target_lba: int,
-                  request: Optional[IORequest] = None):
-        """Seek + rotational latency to reach ``target_lba``.
-
-        In POSITIONED rotation mode the rotational wait is computed
-        *after* the seek completes — the platter kept spinning while the
-        arm moved. ``request`` (when tracing) hangs the seek/rotate
-        phase spans off the request's drive span; destage and idle
-        prefetch position without one.
-        """
-        if self._media_end_lba == target_lba:
-            # Head is already streaming here: no seek, no rotation.
-            return
-        sim = self.sim
-        mechanics = self.mechanics
-        target_cylinder = self._cylinder_of_lba(target_lba)
-        distance = abs(target_cylinder - self._head_cylinder)
-        seek = mechanics.seek_model.seek_time(distance)
-        self._c_seeks.add()
-        traced = self._obs_on and request is not None
-        if seek > 0:
-            if traced:
-                span = self._obs.begin_child(
-                    request, "disk.seek", "disk", sim.now,
-                    args={"cylinders": distance})
-                yield sim.timeout(seek)
-                self._obs.spans.end(span, sim.now)
-            else:
-                yield sim.timeout(seek)
-        if self.config.rotation_mode is RotationMode.POSITIONED:
-            rotation = mechanics.rotational_latency(
-                now=sim.now, target_lba=target_lba)
-        else:
-            rotation = mechanics.rotational_latency()
-        if rotation > 0:
-            if traced:
-                span = self._obs.begin_child(request, "disk.rotate",
-                                             "disk", sim.now)
-                yield sim.timeout(rotation)
-                self._obs.spans.end(span, sim.now)
-            else:
-                yield sim.timeout(rotation)
 
     def _advance_media(self, start_lba: int, nsectors: int) -> None:
         end = start_lba + nsectors
@@ -567,40 +680,6 @@ class DiskDrive:
         segment = self.cache.allocate(start_lba)
         self.cache.fill(segment, nsectors)
         return segment
-
-    def _read_ahead(self, segment, request: Optional[IORequest] = None):
-        """Continue reading into ``segment`` while holding the head."""
-        if self._media_end_lba is None:
-            return
-        space = self.cache.space_left(segment)
-        target = self.spec.read_ahead_bytes
-        if target is not None:
-            space = min(space, target // SECTOR_BYTES)
-        space = min(space,
-                    self.geometry.total_sectors - self._media_end_lba)
-        if space <= 0:
-            return
-        start = self._media_end_lba
-        if segment.end != start:
-            # Demand was tail-inserted from a multi-segment read and the
-            # segment is full, or positions diverged: nothing to extend.
-            return
-        transfer = self.mechanics.transfer_time(start, space)
-        span = None
-        if self._obs_on and request is not None:
-            # Overlaps the demand completion (the head keeps reading
-            # while the host is answered), so attribution ignores it —
-            # it exists for the timeline view.
-            span = self._obs.begin_child(request, "disk.readahead",
-                                         "disk", self.sim.now,
-                                         args={"sectors": space})
-        yield self.sim.timeout(transfer)
-        if span is not None:
-            self._obs.spans.end(span, self.sim.now)
-        self._advance_media(start, space)
-        if self.cache.is_live(segment):
-            self.cache.fill(segment, space, prefetch=True)
-        self._c_readahead.add(space * SECTOR_BYTES)
 
     def _complete(self, request: IORequest, event: Event,
                   charge_interface: bool = True) -> None:

@@ -20,6 +20,35 @@ from repro.sim.stats import StatsRegistry
 __all__ = ["BlockLayer"]
 
 
+class _InFlight:
+    """One dispatched request, as callbacks: submit it to the device,
+    then free its dispatch slot and complete it (and its merged
+    requests).
+
+    :meth:`BlockLayer._issue` starts it with one zero-delay timeout,
+    the push a Process bootstrap would make (DESIGN.md §4, "Hops that
+    wait"). A failed device event fails the carrier's and the merged
+    requests' events with the same exception.
+    """
+
+    __slots__ = ("layer", "request")
+
+    def __init__(self, layer: "BlockLayer", request: IORequest):
+        self.layer = layer
+        self.request = request
+
+    def submit(self, _event: Event) -> None:
+        self.layer.device.submit(self.request).callbacks.append(self.done)
+
+    def done(self, event: Event) -> None:
+        layer = self.layer
+        request = self.request
+        layer.in_flight -= 1
+        layer.scheduler.on_complete(request, layer.sim.now)
+        layer._finish(request, None if event._ok else event._value)
+        layer._kick()
+
+
 class BlockLayer:
     """Dispatch requests to ``device`` in the order ``scheduler`` decides.
 
@@ -53,9 +82,8 @@ class BlockLayer:
         self._completions: dict[int, Event] = {}
         self._wake: Optional[Event] = None
         self._dispatcher_running = False
-        # Precomputed hot-path names (one wake/wait per dispatch cycle).
+        # Precomputed hot-path names (one wake per dispatch cycle).
         self._wake_name = f"{name}.wake"
-        self._wait_name = f"{name}.wait"
         self._disp_name = f"{name}.disp"
         # Ambient observability, captured once (boolean-guarded hooks).
         self._obs = obs.current()
@@ -117,36 +145,37 @@ class BlockLayer:
             span = request.annotations.pop("obs.blkq", None)
             if span is not None:
                 self._obs.spans.end(span, self.sim.now)
+        self.sim.timeout(0.0).callbacks.append(
+            _InFlight(self, request).submit)
 
-        def waiter(sim):
-            yield self.device.submit(request)
-            self.in_flight -= 1
-            self.scheduler.on_complete(request, sim.now)
-            self._finish(request)
-            self._kick()
-
-        self.sim.process(waiter(self.sim), name=self._wait_name)
-
-    def _finish(self, request: IORequest) -> None:
-        """Complete the request and any requests merged into it."""
+    def _finish(self, request: IORequest,
+                error: Optional[BaseException] = None) -> None:
+        """Complete the request and any requests merged into it, or
+        fail them all with ``error``."""
+        now = self.sim.now
         for absorbed in request.annotations.pop("merged", []):
-            absorbed.complete_time = self.sim.now
+            absorbed.complete_time = now
             if self._obs_on:
                 span = absorbed.annotations.pop("obs.blkq", None)
                 if span is not None:
                     # Merged requests ride their carrier: the whole
                     # residency was queue time from this layer's view.
                     span.set_arg("merged", True)
-                    self._obs.spans.end(span, self.sim.now)
-            self.stats.counter("completed").add(absorbed.size)
-            event = self._completions.pop(absorbed.request_id, None)
-            if event is not None:
-                event.succeed(absorbed)
-        request.complete_time = self.sim.now
+                    self._obs.spans.end(span, now)
+            self._complete(absorbed, error)
+        request.complete_time = now
+        self._complete(request, error)
+
+    def _complete(self, request: IORequest,
+                  error: Optional[BaseException]) -> None:
         self.stats.counter("completed").add(request.size)
         event = self._completions.pop(request.request_id, None)
-        if event is not None:
+        if event is None:
+            return
+        if error is None:
             event.succeed(request)
+        else:
+            event.fail(error)
 
     def __repr__(self) -> str:
         return (f"<BlockLayer {self.name!r} {self.scheduler.name} "

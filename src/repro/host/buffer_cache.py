@@ -12,7 +12,7 @@ what the I/O schedulers below actually see.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.io import BlockDevice, IOKind, IORequest
@@ -56,15 +56,99 @@ class ReadaheadParams:
             raise ValueError("writeback_period must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class _StreamState:
     """Per-stream readahead bookkeeping."""
 
-    #: Name of this stream's miss-path Process (formatted once).
-    process_name: str = ""
     next_expected: int = -1
     window_bytes: int = 0
     issued_until: int = -1  # end offset of the last issued readahead
+
+
+class _Miss:
+    """One read miss or partial hit, as callbacks: re-check residency,
+    fetch a readahead window, insert it, then complete the read.
+
+    :meth:`BufferCache.read` starts it with one zero-delay timeout, the
+    push a Process bootstrap would make (DESIGN.md §4, "Hops that
+    wait"). A failed fetch fails the read's event with the same
+    exception.
+    """
+
+    __slots__ = ("cache", "stream_id", "state", "disk_id", "offset", "size",
+                 "event", "fetch_start", "fetch_end")
+
+    def __init__(self, cache: "BufferCache", stream_id: int,
+                 state: _StreamState, disk_id: int, offset: int, size: int,
+                 event: Event):
+        self.cache = cache
+        self.stream_id = stream_id
+        self.state = state
+        self.disk_id = disk_id
+        self.offset = offset
+        self.size = size
+        self.event = event
+
+    def start(self, _event: Event) -> None:
+        cache = self.cache
+        state = self.state
+        disk_id = self.disk_id
+        offset = self.offset
+        size = self.size
+        page = cache._page
+        last = (offset + size - 1) // page
+        # Re-check residency: a fill can land between read() and this
+        # step at the same instant, turning the miss into a hit. Every
+        # resident page of the range is touched.
+        pages = cache._pages
+        first_missing = None
+        for index in range(offset // page, last + 1):
+            key = (disk_id, index)
+            if key in pages:
+                pages.move_to_end(key)
+            elif first_missing is None:
+                first_missing = index
+        if first_missing is None:
+            cache._hit(state, offset, size, self.event)
+            return
+        cache.stats.counter("misses").add(size)
+        readahead = cache.readahead
+        sequential = offset == state.next_expected
+        start = first_missing * page
+        if start < state.issued_until and sequential:
+            # These pages were readahead-fetched and already evicted:
+            # thrash — collapse the window (Linux does the same).
+            cache.stats.counter("thrash").add()
+            state.window_bytes = readahead.initial_bytes
+        elif sequential:
+            state.window_bytes = min(
+                max(state.window_bytes * 2, readahead.initial_bytes),
+                readahead.max_bytes)
+        else:
+            state.window_bytes = readahead.initial_bytes
+        demand_end = (last + 1) * page
+        fetch_end = max(demand_end, start + state.window_bytes)
+        fetch_end = min(fetch_end, cache.device.capacity_bytes)
+        fetch_bytes = fetch_end - start
+        self.fetch_start = start
+        self.fetch_end = fetch_end
+        request = IORequest(kind=IOKind.READ, disk_id=disk_id, offset=start,
+                            size=fetch_bytes, stream_id=self.stream_id)
+        cache.stats.counter("readahead_io").add(fetch_bytes)
+        cache.device.submit(request).callbacks.append(self.fetched)
+
+    def fetched(self, done: Event) -> None:
+        if not done._ok:
+            self.event.fail(done._value)
+            return
+        cache = self.cache
+        page = cache._page
+        cache._insert_run(self.disk_id, self.fetch_start // page,
+                          self.fetch_end // page)
+        state = self.state
+        state.next_expected = self.offset + self.size
+        state.issued_until = self.fetch_end
+        self.event.succeed(None)
 
 
 class BufferCache:
@@ -106,6 +190,7 @@ class BufferCache:
         # were measurable (the drive and controller do the same).
         self._read_name = f"{name}.read"
         self._c_hits = self.stats.counter("hits")
+        self._page = self.readahead.page_bytes
 
     # -- public API ----------------------------------------------------------
     def read(self, stream_id: int, disk_id: int, offset: int,
@@ -115,32 +200,41 @@ class BufferCache:
         Synchronous semantics: the event fires once every page of the
         range is resident (fetching a readahead window on miss).
 
-        A full hit never waits, so it is served here with no Process
-        (DESIGN.md §4, "No Process for a hop that never waits"): the
-        event succeeds in this call, at the current instant. Only a
-        miss or partial hit spawns :meth:`_read`.
+        A full hit never waits, so it is served here (DESIGN.md §4, "No
+        Process for a hop that never waits"): the event succeeds in this
+        call, at the current instant. A miss or partial hit starts a
+        :class:`_Miss` chain; ``read()`` touches nothing on that path.
         """
         if size <= 0:
             raise ValueError(f"non-positive read size: {size}")
-        event = self.sim.event(self._read_name)
+        sim = self.sim
+        event = sim.event(self._read_name)
         state = self._streams.get(stream_id)
         if state is None:
-            state = self._streams[stream_id] = _StreamState(
-                process_name=f"{self.name}.s{stream_id}")
-        page = self.readahead.page_bytes
+            state = self._streams[stream_id] = _StreamState()
+        page = self._page
         first = offset // page
         last = (offset + size - 1) // page
         pages = self._pages
-        for index in range(first, last + 1):
-            if (disk_id, index) not in pages:
-                self.sim.process(
-                    self._read(stream_id, state, disk_id, offset, size,
-                               event),
-                    name=state.process_name)
+        if first == last:
+            # One page (every Figure 2 read): one probe, and it touches.
+            try:
+                pages.move_to_end((disk_id, first))
+            except KeyError:
+                sim.timeout(0.0).callbacks.append(
+                    _Miss(self, stream_id, state, disk_id, offset, size,
+                          event).start)
                 return event
-        move_to_end = pages.move_to_end
-        for index in range(first, last + 1):
-            move_to_end((disk_id, index))
+        else:
+            for index in range(first, last + 1):
+                if (disk_id, index) not in pages:
+                    sim.timeout(0.0).callbacks.append(
+                        _Miss(self, stream_id, state, disk_id, offset,
+                              size, event).start)
+                    return event
+            move_to_end = pages.move_to_end
+            for index in range(first, last + 1):
+                move_to_end((disk_id, index))
         self._hit(state, offset, size, event)
         return event
 
@@ -248,70 +342,40 @@ class BufferCache:
         state.next_expected = offset + size
         event.succeed(None)
 
-    def _read(self, stream_id: int, state: _StreamState, disk_id: int,
-              offset: int, size: int, event: Event):
-        page = self.readahead.page_bytes
-        first = offset // page
-        last = (offset + size - 1) // page
-        # Re-check residency: a fill can land between read() and this
-        # bootstrap at the same instant, turning the miss into a hit.
-        missing = [index for index in range(first, last + 1)
-                   if not self._touch(disk_id, index)]
-        if not missing:
-            self._hit(state, offset, size, event)
-            return
-        self.stats.counter("misses").add(size)
-        sequential = offset == state.next_expected
-        start = missing[0] * page
-        if start < state.issued_until and sequential:
-            # These pages were readahead-fetched and already evicted:
-            # thrash — collapse the window (Linux does the same).
-            self.stats.counter("thrash").add()
-            state.window_bytes = self.readahead.initial_bytes
-        elif sequential:
-            state.window_bytes = min(
-                max(state.window_bytes * 2, self.readahead.initial_bytes),
-                self.readahead.max_bytes)
-        else:
-            state.window_bytes = self.readahead.initial_bytes
-        demand_end = (last + 1) * page
-        fetch_end = max(demand_end, start + state.window_bytes)
-        fetch_end = min(fetch_end, self.device.capacity_bytes)
-        fetch_bytes = fetch_end - start
-        request = IORequest(kind=IOKind.READ, disk_id=disk_id, offset=start,
-                            size=fetch_bytes, stream_id=stream_id)
-        self.stats.counter("readahead_io").add(fetch_bytes)
-        yield self.device.submit(request)
-        for index in range(start // page, fetch_end // page):
-            self._insert(disk_id, index)
-        state.next_expected = offset + size
-        state.issued_until = fetch_end
-        event.succeed(None)
-
-    def _touch(self, disk_id: int, index: int) -> bool:
-        key = (disk_id, index)
-        if key in self._pages:
-            self._pages.move_to_end(key)
-            return True
-        return False
-
     def _insert(self, disk_id: int, index: int) -> None:
-        key = (disk_id, index)
-        if key in self._pages:
-            self._pages.move_to_end(key)
-            return
-        if len(self._pages) >= self.capacity_pages:
-            # Evict the oldest *clean* page; dirty pages are pinned until
-            # writeback (the dirty ratio guarantees clean pages exist).
-            victim = next((k for k in self._pages
-                           if k not in self._dirty), None)
-            if victim is None:
-                victim = next(iter(self._pages))
-                self._dirty.pop(victim, None)
-                self.stats.counter("dirty_evictions").add()
-            del self._pages[victim]
-            self.stats.counter("evictions").add()
-        self._pages[key] = True
+        """Make one page resident (most recently used)."""
+        self._insert_run(disk_id, index, index + 1)
+
+    def _insert_run(self, disk_id: int, first: int, end: int) -> None:
+        """Make pages ``[first, end)`` resident, in order, each most
+        recently used, evicting LRU pages as needed."""
+        pages = self._pages
+        dirty = self._dirty
+        capacity = self.capacity_pages
+        evictions = None
+        for index in range(first, end):
+            key = (disk_id, index)
+            if key in pages:
+                pages.move_to_end(key)
+                continue
+            if len(pages) >= capacity:
+                if not dirty:
+                    victim = next(iter(pages))
+                else:
+                    # Evict the oldest *clean* page; dirty pages are
+                    # pinned until writeback (the dirty ratio
+                    # guarantees clean pages exist).
+                    victim = next((k for k in pages if k not in dirty),
+                                  None)
+                    if victim is None:
+                        victim = next(iter(pages))
+                        dirty.pop(victim, None)
+                        self.stats.counter("dirty_evictions").add()
+                del pages[victim]
+                if evictions is None:
+                    evictions = self.stats.counter("evictions")
+                evictions.add()
+            pages[key] = True
 
     def __repr__(self) -> str:
         return (f"<BufferCache {len(self._pages)}/{self.capacity_pages} "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Protocol, runtime_checkable
 
 from repro.units import SECTOR_BYTES
@@ -47,7 +47,17 @@ class IOKind(enum.Enum):
 request_id_source = itertools.count(1)
 
 
-@dataclass(slots=True)
+def _reject(offset: int, size: int) -> None:
+    """Raise the error for an invalid ``(offset, size)`` pair."""
+    if offset < 0:
+        raise ValueError(f"negative offset: {offset}")
+    if size <= 0:
+        raise ValueError(f"non-positive size: {size}")
+    raise ValueError(
+        f"request not sector-aligned: offset={offset} size={size}")
+
+
+@dataclass(slots=True, init=False)
 class IORequest:
     """One block-level I/O request.
 
@@ -75,31 +85,50 @@ class IORequest:
         Stamped by the layer that owns the client-visible lifecycle.
     parent:
         For split/coalesced requests, the originating request.
+    request_id:
+        Unique per run: the next value of :data:`request_id_source`
+        unless given.
     annotations:
         Free-form per-layer scratch (cache-hit flags, queue names...). Layers
-        must namespace their keys (e.g. ``"core.hit"``).
+        must namespace their keys (e.g. ``"core.hit"``). A fresh dict
+        unless given.
     """
 
     kind: IOKind
     disk_id: int
     offset: int
     size: int
-    stream_id: Optional[int] = None
-    submit_time: float = 0.0
-    complete_time: float = 0.0
-    parent: Optional["IORequest"] = None
-    request_id: int = field(default_factory=lambda: next(request_id_source))
-    annotations: dict = field(default_factory=dict)
+    stream_id: Optional[int]
+    submit_time: float
+    complete_time: float
+    parent: Optional["IORequest"]
+    request_id: int
+    annotations: dict
 
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError(f"negative offset: {self.offset}")
-        if self.size <= 0:
-            raise ValueError(f"non-positive size: {self.size}")
-        if self.offset % SECTOR_BYTES or self.size % SECTOR_BYTES:
-            raise ValueError(
-                f"request not sector-aligned: offset={self.offset} "
-                f"size={self.size}")
+    def __init__(self, kind: IOKind, disk_id: int, offset: int, size: int,
+                 stream_id: Optional[int] = None, submit_time: float = 0.0,
+                 complete_time: float = 0.0,
+                 parent: Optional["IORequest"] = None,
+                 request_id: Optional[int] = None,
+                 annotations: Optional[dict] = None) -> None:
+        # Hand-written: it runs once per client I/O, and dataclass
+        # default factories would cost a lambda call each for request_id
+        # and annotations. The messages come from _reject, off the hot
+        # path.
+        if offset < 0 or size <= 0 or offset % SECTOR_BYTES \
+                or size % SECTOR_BYTES:
+            _reject(offset, size)
+        self.kind = kind
+        self.disk_id = disk_id
+        self.offset = offset
+        self.size = size
+        self.stream_id = stream_id
+        self.submit_time = submit_time
+        self.complete_time = complete_time
+        self.parent = parent
+        self.request_id = next(request_id_source) if request_id is None \
+            else request_id
+        self.annotations = {} if annotations is None else annotations
 
     # -- geometry helpers ----------------------------------------------------
     @property

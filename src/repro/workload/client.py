@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 from repro import obs
 from repro.io import BlockDevice, IORequest
 from repro.sim import Simulator
+from repro.sim.events import Event
 from repro.sim.stats import LatencySampler
 from repro.workload.generators import StreamSpec
 
@@ -26,8 +27,9 @@ class StreamClient:
     ``tolerate_errors`` makes the client behave like a media player
     skipping a bad block: a failed request is counted in ``errors`` and
     the stream moves on to its next offset instead of crashing the
-    emulation. The default (intolerant) client re-raises, preserving the
-    historical fail-loud behaviour of the non-chaos experiments.
+    emulation. In the default (intolerant) client, a failed request
+    ends its slot and fails the event :meth:`start` returned with the
+    request's error.
     """
 
     def __init__(self, sim: Simulator, device: BlockDevice,
@@ -61,13 +63,15 @@ class StreamClient:
         return self.completed_bytes - self._bytes_baseline
 
     def start(self):
-        """Spawn the client processes (one per outstanding slot)."""
-        processes = [
-            self.sim.process(self._run(),
-                             name=f"client{self.spec.stream_id}.{slot}")
-            for slot in range(self.spec.outstanding)
-        ]
-        done = self.sim.all_of(processes)
+        """Start the client's slots (one per outstanding request); the
+        returned event fires once every slot has finished."""
+        sim = self.sim
+        slots = []
+        for slot in range(self.spec.outstanding):
+            done = sim.event(f"client{self.spec.stream_id}.{slot}")
+            sim.timeout(0.0).callbacks.append(_Slot(self, done)._next)
+            slots.append(done)
+        done = sim.all_of(slots)
         done.callbacks.append(self._record_finish)
         return done
 
@@ -88,43 +92,82 @@ class StreamClient:
         self._issued_bytes += spec.request_size
         return request
 
-    def _run(self):
-        while True:
-            request = self._next_request()
-            if request is None:
-                return
-            issued_at = self.sim.now
-            span = None
-            if self._obs_on:
-                # Root a fresh trace per request; every instrumented
-                # layer below hangs its phase spans off this one.
-                span = self._obs.spans.begin(
-                    "request", "client", issued_at,
-                    args={"stream": self.spec.stream_id,
-                          "offset": request.offset,
-                          "size": request.size})
-                self._obs.link(request, span)
-            try:
-                yield self.device.submit(request)
-            except Exception as exc:
-                if span is not None:
-                    span.set_arg("error", type(exc).__name__)
-                    self._obs.spans.end(span, self.sim.now)
-                if not self.tolerate_errors:
-                    raise
-                # Skip the bad block: _next_request already advanced
-                # the position, so the stream stays sequential.
-                self.errors += 1
-                continue
+
+class _Slot:
+    """One outstanding-request slot of a :class:`StreamClient`, as
+    callbacks: issue the next request, wait for it, record it, think,
+    repeat. ``done`` succeeds when the stream has no more requests, or
+    fails with the error of a failed request unless the client
+    tolerates errors.
+
+    :meth:`StreamClient.start` starts it with one zero-delay timeout,
+    the push a Process bootstrap would make (DESIGN.md §4, "Hops that
+    wait").
+    """
+
+    __slots__ = ("client", "done", "request", "issued_at", "span", "_next",
+                 "_completed")
+
+    def __init__(self, client: StreamClient, done: Event):
+        self.client = client
+        self.done = done
+        # Bound once: every request registers one or both.
+        self._next = self.next
+        self._completed = self.completed
+
+    def next(self, _event: Optional[Event] = None) -> None:
+        client = self.client
+        request = client._next_request()
+        if request is None:
+            # Break the bound-method cycle: a finished run is then freed
+            # by reference counting, not left to the cyclic collector.
+            self._next = self._completed = None
+            self.done.succeed()
+            return
+        self.request = request
+        self.issued_at = issued_at = client.sim.now
+        if client._obs_on:
+            # Root a fresh trace per request; every instrumented
+            # layer below hangs its phase spans off this one.
+            self.span = client._obs.spans.begin(
+                "request", "client", issued_at,
+                args={"stream": client.spec.stream_id,
+                      "offset": request.offset,
+                      "size": request.size})
+            client._obs.link(request, self.span)
+        client.device.submit(request).callbacks.append(self._completed)
+
+    def completed(self, event: Event) -> None:
+        client = self.client
+        now = client.sim.now
+        span = self.span if client._obs_on else None
+        if not event._ok:
+            exc = event._value
             if span is not None:
-                self._obs.spans.end(span, self.sim.now)
-            self.completed_bytes += request.size
-            self.completed_requests += 1
-            # Client-side response time (what the paper measures):
-            # independent of any layer's stamping.
-            self.latency.observe(self.sim.now - issued_at)
-            if self.spec.think_time > 0:
-                yield self.sim.timeout(self.spec.think_time)
+                span.set_arg("error", type(exc).__name__)
+                client._obs.spans.end(span, now)
+            if not client.tolerate_errors:
+                self._next = self._completed = None
+                self.done.fail(exc)
+                return
+            # Skip the bad block: _next_request already advanced
+            # the position, so the stream stays sequential.
+            client.errors += 1
+            self.next()
+            return
+        if span is not None:
+            client._obs.spans.end(span, now)
+        request = self.request
+        client.completed_bytes += request.size
+        client.completed_requests += 1
+        # Client-side response time (what the paper measures):
+        # independent of any layer's stamping.
+        client.latency.observe(now - self.issued_at)
+        think_time = client.spec.think_time
+        if think_time > 0:
+            client.sim.timeout(think_time).callbacks.append(self._next)
+        else:
+            self.next()
 
 
 @dataclass

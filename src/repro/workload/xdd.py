@@ -11,11 +11,68 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.host.buffer_cache import BufferCache
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
+from repro.sim.events import Event
 from repro.sim.stats import LatencySampler
 from repro.units import KiB
 
 __all__ = ["XddReport", "run_xdd"]
+
+
+class _Reader:
+    """One xdd reader, as callbacks: read a block, record it, think,
+    repeat until ``end``.
+
+    :func:`run_xdd` starts it with one zero-delay timeout, the push a
+    Process bootstrap would make (DESIGN.md §4, "Hops that wait"). A
+    failed read stops the run.
+    """
+
+    __slots__ = ("sim", "cache", "disk_id", "block_size", "think_time",
+                 "progress", "latency", "stream", "offset", "end",
+                 "started", "_next", "_done")
+
+    def __init__(self, sim: Simulator, cache: BufferCache, disk_id: int,
+                 block_size: int, think_time: float, progress: List[int],
+                 latency: LatencySampler, stream: int, offset: int,
+                 end: int):
+        self.sim = sim
+        self.cache = cache
+        self.disk_id = disk_id
+        self.block_size = block_size
+        self.think_time = think_time
+        self.progress = progress
+        self.latency = latency
+        self.stream = stream
+        self.offset = offset
+        self.end = end
+        # Bound once: every read registers both.
+        self._next = self.next
+        self._done = self.done
+
+    def next(self, _event: Optional[Event] = None) -> None:
+        if self.offset + self.block_size > self.end:
+            # Break the bound-method cycle: a finished run is then freed
+            # by reference counting, not left to the cyclic collector.
+            self._next = self._done = None
+            return
+        self.started = self.sim.now
+        self.cache.read(self.stream, self.disk_id, self.offset,
+                        self.block_size).callbacks.append(self._done)
+
+    def done(self, read: Event) -> None:
+        if not read._ok:
+            raise SimulationError(
+                f"xdd reader {self.stream}: read at {self.offset} failed"
+            ) from read._value
+        sim = self.sim
+        self.latency.observe(sim.now - self.started)
+        self.progress[self.stream] += self.block_size
+        self.offset += self.block_size
+        if self.think_time > 0:
+            sim.timeout(self.think_time).callbacks.append(self._next)
+        else:
+            self.next()
 
 
 @dataclass
@@ -71,20 +128,12 @@ def run_xdd(sim: Simulator, cache: BufferCache, num_streams: int,
     progress: List[int] = [0] * num_streams
     latency = LatencySampler("xdd")
 
-    def reader(sim, stream):
-        offset = stream * spacing
-        end = min(offset + per_stream_bytes, capacity)
-        while offset + block_size <= end:
-            started = sim.now
-            yield cache.read(stream, disk_id, offset, block_size)
-            latency.observe(sim.now - started)
-            progress[stream] += block_size
-            offset += block_size
-            if think_time > 0:
-                yield sim.timeout(think_time)
-
     for stream in range(num_streams):
-        sim.process(reader(sim, stream), name=f"xdd{stream}")
+        offset = stream * spacing
+        reader = _Reader(sim, cache, disk_id, block_size, think_time,
+                         progress, latency, stream, offset,
+                         min(offset + per_stream_bytes, capacity))
+        sim.timeout(0.0).callbacks.append(reader._next)
     if settle_blocks > 0:
         # Warm up past the readahead-window ramp: measure only after
         # every stream has pulled enough blocks for its window to reach

@@ -8,6 +8,8 @@ tests (warm-hit short-circuits) still exercise the real cache code.
 
 import pytest
 
+from repro.sim import Simulator
+
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_sweep_cache(tmp_path_factory):
@@ -21,3 +23,17 @@ def _isolated_sweep_cache(tmp_path_factory):
         os.environ.pop("REPRO_SWEEP_CACHE", None)
     else:
         os.environ["REPRO_SWEEP_CACHE"] = previous
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Names of every Process started through ``Simulator.process``."""
+    names = []
+    original = Simulator.process
+
+    def process(self, generator, name=""):
+        names.append(name)
+        return original(self, generator, name)
+
+    monkeypatch.setattr(Simulator, "process", process)
+    return names

@@ -37,6 +37,27 @@ def test_ack_is_fast_write_behind():
     assert event.value.latency < 0.001
 
 
+def test_rejects_write_larger_than_budget_before_scheduling():
+    """A write above ``memory_budget`` could never be absorbed (it used
+    to spin forever waiting for budget); it is refused up front, with
+    nothing created or pushed and the request untouched."""
+    sim = Simulator()
+    coalescer, _node = make_stack(sim, coalesce_bytes=1 * MiB,
+                                  memory_budget=2 * MiB)
+    request = write(0, size=4 * MiB)
+    pushed = sim._sequence
+    with pytest.raises(ValueError, match=r"write of 4194304 bytes exceeds "
+                                         r"memory_budget 2097152"):
+        coalescer.write(request)
+    assert sim._sequence == pushed
+    assert request.submit_time == 0.0
+    assert coalescer.dirty_bytes == 0 and not coalescer._buffers
+    # A write of exactly the budget is still absorbed.
+    event = coalescer.write(write(0, size=2 * MiB))
+    sim.run_until_event(event, limit=1.0)
+    assert event.ok
+
+
 def test_rejects_reads():
     sim = Simulator()
     coalescer, _node = make_stack(sim)

@@ -4,10 +4,11 @@ A ``BufferCache`` read whose pages are all resident, and a
 ``StreamServer`` request served from staged memory, used to spawn one
 generator Process each. Both are now served inline: the cache hit
 succeeds its event in ``read()``, and the memory hit is one timeout
-whose callback runs ``_finish``. These tests pin that no Process is
-spawned, that timing and bookkeeping match the Process-based path,
-that the cases which can wait still take it, and that Figure 2's
-values are unchanged.
+whose callback runs ``_finish``. A miss or partial hit, which has to
+wait, is a ``_Miss`` callback chain, not a Process either. These tests
+pin that no Process is spawned, that timing and bookkeeping match the
+miss path's, that the cases which can wait still take that path, and
+that Figure 2's values are unchanged.
 """
 
 import json
@@ -21,26 +22,13 @@ from repro.disk import WD800JD
 from repro.disk.mechanics import RotationMode
 from repro.experiments import SMOKE, fig02_schedulers
 from repro.host import BufferCache
+from repro.host.buffer_cache import _Miss
 from repro.io import IOKind, IORequest
 from repro.node import base_topology, build_node
 from repro.sim import Simulator
 from repro.units import KiB, MiB
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
-
-
-@pytest.fixture
-def spawned(monkeypatch):
-    """Names of every Process started through ``Simulator.process``."""
-    names = []
-    original = Simulator.process
-
-    def process(self, generator, name=""):
-        names.append(name)
-        return original(self, generator, name)
-
-    monkeypatch.setattr(Simulator, "process", process)
-    return names
 
 
 class _Device:
@@ -82,16 +70,21 @@ def test_cache_hit_spawns_no_process_and_fires_now(spawned):
     assert cache.stats.counter("hits").total_bytes == 8 * KiB
 
 
-def test_cache_hit_matches_read_process():
+def test_cache_hit_matches_miss_chain():
     inline_sim, _, inline = _warm_cache()
+    inline_now = inline_sim.now
     inline_sim.run_until_event(inline.read(1, 0, 4 * KiB, 8 * KiB))
 
-    sim, _, reference = _warm_cache()
+    sim, device, reference = _warm_cache()
+    now = sim.now
     event = sim.event()
-    sim.process(reference._read(1, reference._streams[1], 0, 4 * KiB,
-                                8 * KiB, event))
+    _Miss(reference, 1, reference._streams[1], 0, 4 * KiB, 8 * KiB,
+          event).start(None)
+    assert event.triggered  # the re-check found every page resident
     sim.run_until_event(event)
 
+    assert inline_sim.now == inline_now and sim.now == now
+    assert len(device.requests) == 2
     assert list(inline._pages) == list(reference._pages)
     assert list(inline._pages)[-2:] == [(0, 1), (0, 2)]
     assert inline._streams[1].next_expected \
@@ -99,18 +92,28 @@ def test_cache_hit_matches_read_process():
     assert inline.stats.snapshot() == reference.stats.snapshot()
 
 
-def test_partial_hit_takes_read_process(spawned):
+def test_partial_hit_takes_miss_chain(spawned):
     sim, device, cache = _warm_cache()
     order = list(cache._pages)
     spawned.clear()
+    queued = sim.queue_length
     event = cache.read(1, 0, 8 * KiB, 12 * KiB)  # pages 2, 3 and 4
-    assert spawned == ["bcache.s1"]
+    assert spawned == []
+    # One push, where the Process bootstrap was: the chain's first step.
+    assert sim.queue_length == queued + 1
     assert not event.triggered
-    # read() touched nothing: _read does it at its bootstrap.
+    # read() touched nothing: the chain does it at its first step.
     assert list(cache._pages) == order
     sim.run_until_event(event)
+    assert spawned == []
     assert len(device.requests) == 3
     assert cache.stats.counter("misses").count == 3
+    # The fetch started at the first missing page, 4, and its whole
+    # window is now the most recently used run.
+    assert device.requests[-1].offset == 16 * KiB
+    window = device.requests[-1].size // (4 * KiB)
+    assert list(cache._pages)[-window:] == [(0, 4 + i)
+                                            for i in range(window)]
 
 
 def test_fill_landing_before_bootstrap_turns_miss_into_hit(spawned):
@@ -121,11 +124,14 @@ def test_fill_landing_before_bootstrap_turns_miss_into_hit(spawned):
     landing.succeed()  # processed at this instant, before the bootstrap
     spawned.clear()
     event = cache.read(1, 0, 16 * KiB, 8 * KiB)  # pages 4 and 5: absent
-    assert spawned == ["bcache.s1"]
+    assert spawned == []
+    assert not event.triggered
     now = sim.now
     sim.run_until_event(event)
+    assert spawned == []
     assert sim.now == now
-    assert len(device.requests) == 2  # _read re-checked: no fetch
+    assert len(device.requests) == 2  # the chain re-checked: no fetch
+    assert list(cache._pages)[-2:] == [(0, 4), (0, 5)]
     assert cache.stats.counter("hits").total_bytes == 8 * KiB
     assert cache._streams[1].next_expected == 24 * KiB
 

@@ -22,20 +22,6 @@ from repro.units import KiB, MiB
 SIZE = 64 * KiB
 
 
-@pytest.fixture
-def spawned(monkeypatch):
-    """Names of every Process started through ``Simulator.process``."""
-    names = []
-    original = Simulator.process
-
-    def process(self, generator, name=""):
-        names.append(name)
-        return original(self, generator, name)
-
-    monkeypatch.setattr(Simulator, "process", process)
-    return names
-
-
 def read(offset, size=SIZE, stream=None):
     return IORequest(kind=IOKind.READ, disk_id=0, offset=offset, size=size,
                      stream_id=stream)
@@ -86,8 +72,9 @@ def test_no_process_per_request(spawned):
     events = [node.submit(read(i * SIZE)) for i in range(8)]
     sim.run()
     assert all(event.ok for event in events)
-    # Only the drive's mechanical worker runs as a Process.
-    assert spawned and set(spawned) == {"disk0.worker"}
+    # Every hop, the drive's mechanical worker too, is a callback chain.
+    assert spawned == []
+    assert node.drive(0).stats.counter("completed").count == 8
 
 
 def test_same_instant_submits_stay_fifo_at_every_queue():

@@ -129,6 +129,69 @@ def test_request_ids_unique():
     assert len(ids) == 100
 
 
+def test_request_defaults():
+    request = IORequest(IOKind.READ, 2, 4 * KiB, 8 * KiB)
+    assert (request.kind, request.disk_id, request.offset, request.size) \
+        == (IOKind.READ, 2, 4 * KiB, 8 * KiB)
+    assert request.stream_id is None
+    assert request.submit_time == 0.0 and request.complete_time == 0.0
+    assert request.parent is None
+    assert request.annotations == {}
+    # Every request gets its own annotations dict.
+    assert read().annotations is not read().annotations
+    explicit = IORequest(IOKind.WRITE, 0, 0, 512, request_id=7,
+                         annotations={"a": 1})
+    assert explicit.request_id == 7 and explicit.annotations == {"a": 1}
+
+
+def test_request_ids_strictly_increase():
+    ids = [read().request_id for _ in range(50)]
+    assert ids == sorted(set(ids))
+
+
+@pytest.mark.parametrize("offset, size, message", [
+    (-512, 512, "negative offset: -512"),
+    (0, 0, "non-positive size: 0"),
+    (0, -512, "non-positive size: -512"),
+    (100, 512, "request not sector-aligned: offset=100 size=512"),
+    (0, 1000, "request not sector-aligned: offset=0 size=1000"),
+    # Checked in that order: the offset sign first, then the size.
+    (-1, 0, "negative offset: -1"),
+    (1, 0, "non-positive size: 0"),
+])
+def test_request_validation_messages(offset, size, message):
+    with pytest.raises(ValueError) as raised:
+        IORequest(IOKind.READ, 0, offset, size)
+    assert str(raised.value) == message
+
+
+def test_request_replace_eq_and_repr():
+    import dataclasses
+    request = read(offset=64 * KiB, size=64 * KiB, stream=3)
+    copy = dataclasses.replace(request)
+    assert copy == request and copy is not request
+    assert copy.request_id == request.request_id
+    grown = dataclasses.replace(request, size=128 * KiB)
+    assert grown != request
+    assert grown.end == 192 * KiB and grown.request_id == request.request_id
+    with pytest.raises(ValueError, match="not sector-aligned"):
+        dataclasses.replace(request, size=100)
+    assert repr(request) == (f"<IO#{request.request_id} read d0 "
+                             f"[{64 * KiB}, {128 * KiB}) s=3>")
+
+
+def test_request_end_follows_noop_back_merge():
+    from repro.host.schedulers import make_scheduler
+    noop = make_scheduler("noop")
+    carrier = read(offset=0, size=64 * KiB)
+    follower = read(offset=64 * KiB, size=64 * KiB)
+    noop.add(carrier, 0.0)
+    noop.add(follower, 0.0)
+    assert carrier.size == 128 * KiB
+    assert carrier.end == 128 * KiB
+    assert carrier.annotations["merged"] == [follower]
+
+
 def test_stamp_submit_first_wins():
     request = read()
     stamp_submit(request, 5.0)
