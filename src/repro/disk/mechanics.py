@@ -15,9 +15,8 @@ import enum
 import math
 from typing import Optional
 
-import numpy as np
-
 from repro.disk.geometry import DiskGeometry
+from repro.sim.rng import PCG64
 from repro.units import SECTOR_BYTES
 
 __all__ = ["Mechanics", "RotationMode", "SeekModel"]
@@ -107,7 +106,10 @@ class Mechanics:
     rotation_mode:
         Deterministic vs sampled rotational latency.
     seed:
-        Seed for the rotational-latency RNG (UNIFORM mode).
+        Seed for the rotational-latency RNG (UNIFORM mode): a
+        non-negative integer, or ``None`` for OS entropy. The draws
+        equal ``numpy.random.default_rng(seed).uniform``'s
+        (:mod:`repro.sim.rng`).
     track_switch_time:
         Extra settle time charged per track boundary crossed during a
         multi-track media transfer.
@@ -127,7 +129,7 @@ class Mechanics:
         self.seek_model = seek_model
         self.rotation_mode = rotation_mode
         self.track_switch_time = track_switch_time
-        self._rng = np.random.default_rng(seed)
+        self._rng = PCG64(seed)
 
     @property
     def rotation_time(self) -> float:
@@ -150,7 +152,7 @@ class Mechanics:
                 raise ValueError(
                     "POSITIONED rotation needs now and target_lba")
             return self._positioned_latency(now, target_lba)
-        return float(self._rng.uniform(0.0, self.rotation_time))
+        return self._rng.uniform(0.0, self.rotation_time)
 
     def _positioned_latency(self, now: float, target_lba: int) -> float:
         # Internal call: target_lba was validated at submit time, so use

@@ -408,17 +408,15 @@ dispatch_event(EventCoreObject *self, PyObject *sim, PyObject *ev)
     if (waiter == Py_None && PyList_CheckExact(callbacks) &&
         PyList_GET_SIZE(callbacks) == 1) {
         /* Sole callback: Event._process_callbacks() inlined -- state
-         * PROCESSED, a fresh callbacks list, then cb(ev). */
+         * PROCESSED, the callbacks list emptied, then cb(ev).  The
+         * list is emptied in place, not replaced: we take over its
+         * reference to cb and keep its storage for the next append. */
         PyObject *cb = PyList_GET_ITEM(callbacks, 0);
-        PyObject *fresh = PyList_New(0);
         PyObject *r;
 
-        if (fresh == NULL)
-            return -1;
-        Py_INCREF(cb);
+        PyList_SET_ITEM(callbacks, 0, NULL);
+        Py_SET_SIZE(callbacks, 0);
         slot_store(ev, off_ev_state, int_two);      /* Event.PROCESSED */
-        slot_store(ev, off_ev_callbacks, fresh);    /* drops the old list */
-        Py_DECREF(fresh);
         r = PyObject_CallOneArg(cb, ev);
         Py_DECREF(cb);
         if (r == NULL)

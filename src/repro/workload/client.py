@@ -228,9 +228,12 @@ class ClientFleet:
         dependent cold-start transients: big-segment initial fill rounds,
         the stream server's three-request detection phase. Latency
         statistics are reset at the measurement boundary.
+
+        In an intolerant fleet a failed request ends its stream; after
+        the run, the error of the first failed stream (in stream order)
+        is raised.
         """
-        for client in self.clients:
-            client.start()
+        finished = [client.start() for client in self.clients]
         if warmup > 0:
             self.sim.run(until=self.sim.now + warmup)
         if settle_requests > 0:
@@ -256,6 +259,9 @@ class ClientFleet:
                         if c.finished_at is not None]
             end = max(finishes) if finishes else self.sim.now
             elapsed = end - start
+        for done in finished:
+            if done.triggered and not done.ok:
+                raise done.value
         total = sum(c.completed_bytes for c in self.clients) - warmup_bytes
         merged = LatencySampler("fleet")
         for client in self.clients:

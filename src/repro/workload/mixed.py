@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from repro.io import IOKind, IORequest
 from repro.units import KiB, SECTOR_BYTES
@@ -29,12 +29,12 @@ def random_requests(count: int, disk_ids: Sequence[int], capacity: int,
         raise ValueError(f"count must be >= 1: {count}")
     if request_size <= 0 or request_size % SECTOR_BYTES:
         raise ValueError(f"bad request_size: {request_size}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     highest = capacity - request_size
     requests = []
     for _ in range(count):
-        disk_id = int(rng.choice(disk_ids))
-        offset = _align(int(rng.integers(0, highest)), request_size)
+        disk_id = rng.choice(disk_ids)
+        offset = _align(rng.randrange(highest), request_size)
         requests.append(IORequest(kind=kind, disk_id=disk_id,
                                   offset=offset, size=request_size))
     return requests
@@ -47,7 +47,9 @@ def zipf_requests(count: int, disk_ids: Sequence[int], capacity: int,
     """Zipf-skewed requests over ``hot_regions`` fixed hot spots.
 
     Models metadata/index traffic sharing a disk with streams: heavily
-    skewed but not sequential.
+    skewed but not sequential. The region of rank ``k`` (1-based) is
+    drawn with weight ``k ** -skew``, a Zipf law truncated at
+    ``hot_regions``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1: {count}")
@@ -55,18 +57,19 @@ def zipf_requests(count: int, disk_ids: Sequence[int], capacity: int,
         raise ValueError(f"zipf skew must be > 1: {skew}")
     if hot_regions < 1:
         raise ValueError(f"hot_regions must be >= 1: {hot_regions}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     region_size = capacity // hot_regions
     region_size = max(_align(region_size, request_size), request_size)
     # Shuffle hot-region placement so rank-1 isn't always offset 0.
-    placement = rng.permutation(hot_regions)
+    placement = list(range(hot_regions))
+    rng.shuffle(placement)
+    cum_weights = list(itertools.accumulate(
+        rank ** -skew for rank in range(1, hot_regions + 1)))
     requests = []
     for _ in range(count):
-        rank = int(rng.zipf(skew))
-        region = placement[min(rank - 1, hot_regions - 1)]
-        offset = min(int(region) * region_size,
-                     capacity - request_size)
-        disk_id = int(rng.choice(disk_ids))
+        region = rng.choices(placement, cum_weights=cum_weights)[0]
+        offset = min(region * region_size, capacity - request_size)
+        disk_id = rng.choice(disk_ids)
         requests.append(IORequest(kind=IOKind.READ, disk_id=disk_id,
                                   offset=_align(offset, request_size),
                                   size=request_size))

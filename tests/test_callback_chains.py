@@ -142,3 +142,49 @@ def test_client_slot_failure(tolerate):
         assert not done.ok and isinstance(done.value, OSError)
         assert client.errors == 0 and client.completed_requests == 2
         assert len(device.requests) == 3
+
+
+def _fleet(device, streams, tolerate):
+    from repro.workload import ClientFleet
+    from repro.workload.generators import StreamSpec
+
+    return ClientFleet(device.sim, device, [StreamSpec(
+        stream_id=stream, disk_id=0, start_offset=stream * MiB,
+        request_size=4 * KiB, total_bytes=10 * 4 * KiB)
+        for stream in range(streams)], tolerate_errors=tolerate)
+
+
+def test_intolerant_fleet_raises_a_failed_request():
+    """A failed request ends its stream, and the run raises its error
+    instead of reporting the shortfall as lower throughput."""
+    device = _ThirdFails(Simulator())
+    fleet = _fleet(device, 2, tolerate=False)
+    with pytest.raises(OSError, match="bad block"):
+        fleet.run()
+    assert [c.completed_requests for c in fleet.clients] == [1, 10]
+
+
+def test_tolerant_fleet_counts_a_failed_request():
+    device = _ThirdFails(Simulator())
+    report = _fleet(device, 2, tolerate=True).run()
+    assert report.total_errors == 1
+    assert report.total_bytes == 19 * 4 * KiB
+
+
+class _StreamFails(_Device):
+    """Fails stream 1's first request after 1 ms and stream 0's after
+    2 ms; stream 2 completes."""
+
+    def submit(self, request):
+        self.requests.append(request)
+        delay = {0: 2e-3, 1: 1e-3}.get(request.stream_id)
+        if delay is None:
+            return self.sim.timeout(1e-3, value=request)
+        event = self.sim.event()
+        event.fail(OSError(f"stream {request.stream_id}"), delay=delay)
+        return event
+
+
+def test_intolerant_fleet_raises_in_stream_order():
+    with pytest.raises(OSError, match="stream 0"):
+        _fleet(_StreamFails(Simulator()), 3, tolerate=False).run()
