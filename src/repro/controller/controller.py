@@ -9,7 +9,7 @@ from repro import obs
 from repro.controller.bus import HostBus, SataPort
 from repro.controller.cache import PrefetchCache
 from repro.disk.drive import DiskDrive
-from repro.io import IOKind, IORequest, stamp_submit
+from repro.io import IOKind, IORequest
 from repro.sim import Resource, Simulator
 from repro.sim.events import Event
 from repro.sim.stats import StatsRegistry
@@ -84,18 +84,17 @@ class _ControllerRequest:
                                              args={"disk": request.disk_id})
             ctl._obs.link(request, self.span)
         self.since = ctl.sim.now
-        ctl._admission.request().callbacks.append(self.admitted)
+        ctl._admission.request_then(self.admitted)
 
     def admitted(self, _grant: Event) -> None:
         ctl = self.ctl
         if ctl._obs_on:
             ctl._record_wait(self.request, self.since, "admission")
-        ctl._cpu.request().callbacks.append(self.cpu_granted)
+        ctl._cpu.request_then(self.cpu_granted)
 
     def cpu_granted(self, _grant: Event) -> None:
         ctl = self.ctl
-        ctl.sim.timeout(ctl.spec.request_overhead_s).callbacks.append(
-            self.cpu_done)
+        ctl.sim.after(ctl.spec.request_overhead_s, self.cpu_done)
 
     def cpu_done(self, _timeout: Event) -> None:
         ctl = self.ctl
@@ -114,7 +113,7 @@ class _ControllerRequest:
         ctl = self.ctl
         self.slot = slot = ctl._port_slots[self.request.disk_id]
         self.since = ctl.sim.now
-        slot.request().callbacks.append(then)
+        slot.request_then(then)
 
     # -- read path -------------------------------------------------------
     def read_slot_granted(self, _grant: Event) -> None:
@@ -327,10 +326,10 @@ class DiskController:
             raise ValueError(
                 f"{request!r}: disk {request.disk_id} not on {self.name}")
         sim = self.sim
-        stamp_submit(request, sim.now)
+        if request.submit_time == 0.0:  # inlined stamp_submit()
+            request.submit_time = sim.now
         event = sim.event(name="ctl")
-        sim.timeout(0.0).callbacks.append(
-            _ControllerRequest(self, request, event).start)
+        sim.after(0.0, _ControllerRequest(self, request, event).start)
         return event
 
     @property

@@ -352,8 +352,7 @@ class StreamServer:
                     self._obs_phase(request, "server.memhit")
                 self._c_staged_hits.add(request.size)
                 self._copies.append((request, event))
-                sim.timeout(self._copy_s).callbacks.append(
-                    self._copy_done_cb)
+                sim.after(self._copy_s, self._copy_done_cb)
                 return event
             # Otherwise find the buffer holding the request's last byte
             # (fills are in order, so once it fills everything before
@@ -650,7 +649,7 @@ class StreamServer:
         the request rides a FIFO and one shared callback takes it off.
         """
         self._copies.append((request, event))
-        self.sim.timeout(self._copy_s).callbacks.append(self._copy_done_cb)
+        self.sim.after(self._copy_s, self._copy_done_cb)
 
     def _copy_done(self, _copy: Event) -> None:
         """:meth:`_finish` for the oldest copy in progress."""

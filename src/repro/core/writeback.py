@@ -139,7 +139,7 @@ class _Absorb:
         wb.dirty_bytes += request.size
         wb.stats.counter("absorbed").add(request.size)
         self.buffer = buffer
-        sim.timeout(wb.params.ack_cost_s).callbacks.append(self.acked)
+        sim.after(wb.params.ack_cost_s, self.acked)
 
     def acked(self, _timeout: Event) -> None:
         wb = self.wb
@@ -198,8 +198,7 @@ class WriteCoalescer:
                 f"memory_budget {self.params.memory_budget}")
         stamp_submit(request, self.sim.now)
         event = self.sim.event(self._write_name)
-        self.sim.timeout(0.0).callbacks.append(
-            _Absorb(self, request, event).start)
+        self.sim.after(0.0, _Absorb(self, request, event).start)
         return event
 
     # -- flushing -----------------------------------------------------------------

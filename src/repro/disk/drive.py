@@ -35,6 +35,8 @@ from repro.units import SECTOR_BYTES
 
 __all__ = ["DiskDrive", "DriveConfig"]
 
+_NEVER = float("inf")
+
 
 @dataclass
 class DriveConfig:
@@ -106,16 +108,14 @@ class _Completion:
                 name = "disk.complete"
             self.phase = drive._obs.begin_child(self.request, name, "disk",
                                                 sim.now)
-        sim.timeout(drive._cmd_overhead).callbacks.append(self.overhead_done)
+        sim.after(drive._cmd_overhead,
+                  self.overhead_done if self.charge_interface
+                  else self.finish)
 
     def overhead_done(self, _timeout: Event) -> None:
-        if self.charge_interface:
-            self.drive.interface.transfer_then(self.request.size,
-                                               self.finish)
-        else:
-            self.finish()
+        self.drive.interface.transfer_then(self.request.size, self.finish)
 
-    def finish(self) -> None:
+    def finish(self, _timeout: Optional[Event] = None) -> None:
         drive = self.drive
         request = self.request
         now = drive.sim.now
@@ -153,12 +153,12 @@ class _Worker:
     thrash.
 
     Jobs, in priority order: a queued command; destaging the oldest
-    dirty write run; an idle read-ahead run. Reads, writes and destages
-    all reach the media through :meth:`move`.
+    dirty write run; an idle read-ahead run (:class:`_IdleRun`). Reads,
+    writes and destages all reach the media through :meth:`move`.
     """
 
     __slots__ = ("drive", "started", "queued", "request", "lba", "nsectors",
-                 "then", "span", "segment", "remaining")
+                 "then", "span", "segment")
 
     def __init__(self, drive: "DiskDrive"):
         self.drive = drive
@@ -297,7 +297,7 @@ class _Worker:
         self.segment = segment
         self.lba = start
         self.nsectors = space
-        sim.timeout(transfer).callbacks.append(self.read_ahead_done)
+        sim.after(transfer, self.read_ahead_done)
         return True
 
     def read_ahead_done(self, _timeout: Event) -> None:
@@ -322,20 +322,17 @@ class _Worker:
         drive._dirty_sectors -= self.nsectors
         drive.stats.counter("media_write").add(nbytes)
         drive.stats.counter("destaged").add(nbytes)
-        if not drive._dirty and drive._flush_waiters:
+        # Not ``_dirty``: destage() pops a run when it starts, so the
+        # list is empty while its last run is still being written.
+        if not drive._dirty_sectors and drive._flush_waiters:
             waiters, drive._flush_waiters = drive._flush_waiters, []
             for waiter in waiters:
                 waiter.succeed()
         self.worked()
 
     def idle_prefetch(self) -> bool:
-        """Continue sequential read-ahead while the queue is idle.
-
-        Reads one further segment in interruptible chunks: a command
-        arriving mid-prefetch stops the run at the next chunk boundary —
-        real firmware aborts read-ahead for new work the same way.
-        False when there is nothing to read.
-        """
+        """Read one further segment while the queue is idle, as one
+        :class:`_IdleRun`; False when there is nothing to read."""
         drive = self.drive
         drive._idle_credit = 0
         start = drive._media_end_lba
@@ -343,33 +340,9 @@ class _Worker:
                         drive.geometry.total_sectors - start)
         if remaining <= 0:
             return False
-        self.segment = drive._tail_segment = drive.cache.allocate(start)
-        self.remaining = remaining
-        return self.idle_chunk()
-
-    def idle_chunk(self) -> bool:
-        """Start the next chunk, unless the run is over or a command
-        arrived."""
-        drive = self.drive
-        if self.remaining <= 0 or drive._waiting or drive._active:
-            return False
-        chunk = min(drive._idle_chunk_sectors, self.remaining)
-        self.nsectors = chunk
-        drive.sim.timeout(drive.mechanics.transfer_time(
-            drive._media_end_lba, chunk)).callbacks.append(self.idle_filled)
+        segment = drive._tail_segment = drive.cache.allocate(start)
+        drive._idle_run = _IdleRun(self, segment, start, remaining)
         return True
-
-    def idle_filled(self, _timeout: Event) -> None:
-        drive = self.drive
-        chunk = self.nsectors
-        if drive.cache.is_live(self.segment):
-            drive.cache.fill(self.segment, chunk, prefetch=True)
-            drive._advance_media(drive._media_end_lba, chunk)
-            drive._c_readahead.add(chunk * SECTOR_BYTES)
-            self.remaining -= chunk
-            if self.idle_chunk():
-                return
-        self.worked()
 
     # -- media access ----------------------------------------------------------
     def move(self, request: Optional[IORequest], lba: int, nsectors: int,
@@ -400,7 +373,7 @@ class _Worker:
                 self.span = drive._obs.begin_child(
                     request, "disk.seek", "disk", sim.now,
                     args={"cylinders": distance})
-            sim.timeout(seek).callbacks.append(self.rotate)
+            sim.after(seek, self.rotate)
         else:
             self.rotate()
 
@@ -418,7 +391,7 @@ class _Worker:
             if drive._obs_on and self.request is not None:
                 self.span = drive._obs.begin_child(
                     self.request, "disk.rotate", "disk", sim.now)
-            sim.timeout(rotation).callbacks.append(self.transfer)
+            sim.after(rotation, self.transfer)
         else:
             self.transfer()
 
@@ -432,7 +405,7 @@ class _Worker:
             self.span = drive._obs.begin_child(
                 self.request, "disk.transfer", "disk", sim.now,
                 args={"sectors": self.nsectors})
-        sim.timeout(transfer).callbacks.append(self.transferred)
+        sim.after(transfer, self.transferred)
 
     def transferred(self, _timeout: Event) -> None:
         if self.span is not None:
@@ -442,6 +415,115 @@ class _Worker:
         # (and its drive) alive in a reference cycle.
         then, self.then = self.then, None
         then()
+
+
+class _IdleRun:
+    """One idle read-ahead run: a segment read in chunks, one timer.
+
+    The firmware reads the segment in ``_idle_chunk_sectors`` chunks so
+    that a command arriving mid-run stops it at the next chunk boundary,
+    as real drives abort read-ahead for new work. Only the drive looks
+    at the chunks, so the run books them when it must, not as each one
+    ends. It computes every chunk's end time up front, adding each
+    chunk's transfer time to the previous end in chunk order, and
+    pushes one timer at the end of the ``stop`` chunk, initially the
+    last one:
+
+    * :meth:`fill` books the chunks that ended by a given time: cache
+      fill, media position, one read-ahead count per chunk.
+      ``DiskDrive.submit`` calls it first whenever ``next_end`` has
+      passed, so a command sees exactly the chunks that ended by its
+      arrival; a chunk that ends at that very instant counts as filled.
+    * :meth:`cut` moves ``stop`` to the chunk in progress and pushes a
+      timer at its end. ``submit`` calls it when a command is queued,
+      and when an absorbed write invalidates the run's segment; a dead
+      segment takes no more fills, so the run then ends at that
+      boundary with the chunk unfilled.
+    * :meth:`end` runs at the stop chunk's end: it fills, ends the run
+      and hands the head back to the worker. The first timer of a run
+      that was cut finds ``worker`` cleared and does nothing, so a
+      worker that starts a second run is never ended by the first
+      run's timer.
+
+    Timers are pushed at their absolute end times with ``sim._push``:
+    ``timeout(end - now)`` could round to a different instant. A run
+    makes at most two pushes. DESIGN.md §4 ("Hops that wait") gives the
+    order argument.
+    """
+
+    __slots__ = ("worker", "segment", "ends", "sizes", "filled", "stop",
+                 "next_end")
+
+    def __init__(self, worker: _Worker, segment, start: int, remaining: int):
+        drive = worker.drive
+        transfer_time = drive.mechanics.transfer_time
+        chunk_sectors = drive._idle_chunk_sectors
+        when = drive.sim.now
+        ends = []
+        sizes = []
+        lba = start
+        while remaining > 0:
+            chunk = min(chunk_sectors, remaining)
+            when += transfer_time(lba, chunk)
+            ends.append(when)
+            sizes.append(chunk)
+            lba += chunk
+            remaining -= chunk
+        self.worker: Optional[_Worker] = worker
+        self.segment = segment
+        self.ends = ends
+        self.sizes = sizes
+        #: chunks booked so far
+        self.filled = 0
+        #: index of the chunk the run ends with
+        self.stop = len(ends) - 1
+        #: end of the next chunk to book (inf: nothing left to book)
+        self.next_end = ends[0]
+        drive._at(when, self.end)
+
+    def fill(self, now: float) -> None:
+        """Book every chunk up to ``stop`` that ended by ``now``."""
+        drive = self.worker.drive
+        ends = self.ends
+        sizes = self.sizes
+        stop = self.stop
+        first = index = self.filled
+        sectors = 0
+        while index <= stop and ends[index] <= now:
+            sectors += sizes[index]
+            index += 1
+        if not sectors:
+            return
+        cache = drive.cache
+        segment = self.segment
+        if not cache.is_live(segment):
+            self.next_end = _NEVER
+            return
+        # Nothing runs between these chunks' ends but this run, so one
+        # fill and one head move book them all; the read-ahead counter
+        # still counts each chunk.
+        cache.fill(segment, sectors, prefetch=True)
+        drive._advance_media(drive._media_end_lba, sectors)
+        readahead = drive._c_readahead
+        readahead.count += index - first
+        readahead.total_bytes += sectors * SECTOR_BYTES
+        self.filled = index
+        self.next_end = ends[index] if index <= stop else _NEVER
+
+    def cut(self) -> None:
+        """End the run with the chunk in progress (after :meth:`fill`)."""
+        if self.filled < self.stop:
+            self.stop = self.filled
+            self.worker.drive._at(self.ends[self.filled], self.end)
+
+    def end(self, _timer: Event) -> None:
+        worker = self.worker
+        if worker is None:
+            return  # the run ended at an earlier cut
+        drive = worker.drive
+        self.fill(drive.sim.now)
+        self.worker = drive._idle_run = None
+        worker.worked()
 
 
 class DiskDrive:
@@ -463,8 +545,9 @@ class DiskDrive:
         "sim", "spec", "config", "name", "geometry", "mechanics", "cache",
         "interface", "stats", "_active", "_waiting", "_policy",
         "_head_cylinder", "_media_end_lba", "_worker_running", "busy_time",
-        "_tail_segment", "_idle_credit", "_idle_chunk_sectors", "_dirty",
-        "_dirty_sectors", "_flush_waiters", "_capacity_bytes", "_cmd_overhead",
+        "_tail_segment", "_idle_credit", "_idle_chunk_sectors", "_idle_run",
+        "_dirty", "_dirty_sectors", "_flush_waiters", "_capacity_bytes",
+        "_cmd_overhead",
         "_cylinder_of_lba", "_c_completed",
         "_c_media_read", "_c_media_write", "_c_readahead", "_c_seeks",
         "_obs", "_obs_on",
@@ -517,6 +600,8 @@ class DiskDrive:
         self._idle_credit = 0
         self._idle_chunk_sectors = max(
             1, (64 * 1024) // SECTOR_BYTES)
+        #: the idle read-ahead run in progress, if any
+        self._idle_run: Optional[_IdleRun] = None
         # Write-back cache state: FIFO of dirty (start_lba, nsectors)
         # runs awaiting background destage, and flush barriers.
         self._dirty: deque[tuple[int, int]] = deque()
@@ -570,6 +655,11 @@ class DiskDrive:
             raise ValueError(
                 f"{request!r} beyond capacity {self._capacity_bytes}")
         sim = self.sim
+        idle_run = self._idle_run
+        if idle_run is not None and idle_run.next_end <= sim.now:
+            # Idle read-ahead chunks that ended by now are in the cache
+            # for this command.
+            idle_run.fill(sim.now)
         if request.submit_time == 0.0:  # inlined stamp_submit()
             request.submit_time = sim.now
         event = sim.event("io")
@@ -601,13 +691,23 @@ class DiskDrive:
                          self._cylinder_of_lba(start_lba),
                          start_lba, nsectors)
         self._waiting.append(queued)
+        if idle_run is not None:
+            idle_run.cut()
         self._kick_worker()
         return event
+
+    def _at(self, when: float, step) -> None:
+        """Call ``step(timer)`` at the absolute time ``when``."""
+        sim = self.sim
+        timer = sim.event("idle")
+        timer._state = Event.TRIGGERED
+        timer.callbacks.append(step)
+        sim._push(when, timer)
 
     def _kick_worker(self) -> None:
         if not self._worker_running:
             self._worker_running = True
-            self.sim.timeout(0.0).callbacks.append(_Worker(self).run)
+            self.sim.after(0.0, _Worker(self).run)
 
     def _dirty_covers(self, start_lba: int, nsectors: int) -> bool:
         """Whole range inside one not-yet-destaged dirty run? (WCE
@@ -627,6 +727,9 @@ class DiskDrive:
         if budget <= 0 or self._dirty_sectors + nsectors > budget:
             return False
         self.cache.invalidate(start_lba, nsectors)
+        idle_run = self._idle_run
+        if idle_run is not None and not self.cache.is_live(idle_run.segment):
+            idle_run.cut()
         self._dirty.append((start_lba, nsectors))
         self._dirty_sectors += nsectors
         request.annotations["disk.wce"] = True
@@ -638,7 +741,8 @@ class DiskDrive:
     def flush(self) -> Event:
         """Barrier: fires once all dirty write data has reached media."""
         event = self.sim.event(name=f"{self.name}.flush")
-        if not self._dirty:
+        # Not ``_dirty``: a run being destaged has left that list.
+        if not self._dirty_sectors:
             event.succeed()
         else:
             self._flush_waiters.append(event)
@@ -692,8 +796,8 @@ class DiskDrive:
         (:class:`_Completion`) started by one zero-delay event pushed
         here, the push a Process bootstrap would make (DESIGN.md §4).
         """
-        self.sim.timeout(0.0).callbacks.append(
-            _Completion(self, request, event, charge_interface).start)
+        self.sim.after(
+            0.0, _Completion(self, request, event, charge_interface).start)
 
     # -- reporting ------------------------------------------------------------------
     def throughput(self, elapsed: float) -> float:

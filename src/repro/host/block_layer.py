@@ -145,8 +145,7 @@ class BlockLayer:
             span = request.annotations.pop("obs.blkq", None)
             if span is not None:
                 self._obs.spans.end(span, self.sim.now)
-        self.sim.timeout(0.0).callbacks.append(
-            _InFlight(self, request).submit)
+        self.sim.after(0.0, _InFlight(self, request).submit)
 
     def _finish(self, request: IORequest,
                 error: Optional[BaseException] = None) -> None:

@@ -221,16 +221,14 @@ class BufferCache:
             try:
                 pages.move_to_end((disk_id, first))
             except KeyError:
-                sim.timeout(0.0).callbacks.append(
-                    _Miss(self, stream_id, state, disk_id, offset, size,
-                          event).start)
+                sim.after(0.0, _Miss(self, stream_id, state, disk_id,
+                                     offset, size, event).start)
                 return event
         else:
             for index in range(first, last + 1):
                 if (disk_id, index) not in pages:
-                    sim.timeout(0.0).callbacks.append(
-                        _Miss(self, stream_id, state, disk_id, offset,
-                              size, event).start)
+                    sim.after(0.0, _Miss(self, stream_id, state, disk_id,
+                                         offset, size, event).start)
                     return event
             move_to_end = pages.move_to_end
             for index in range(first, last + 1):

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.controller.controller import DiskController
-from repro.io import IORequest, stamp_submit
+from repro.io import IORequest
 from repro.sim import Resource, Simulator
 from repro.sim.events import Event
 from repro.sim.stats import StatsRegistry
@@ -75,12 +75,11 @@ class _NodeRequest:
             self.span = node._obs.begin_child(self.request, "node.request",
                                               "node", node.sim.now)
             node._obs.link(self.request, self.span)
-        node._cpu.request().callbacks.append(self.submit_granted)
+        node._cpu.request_then(self.submit_granted)
 
     def submit_granted(self, _grant: Event) -> None:
         node = self.node
-        node.sim.timeout(node.host.submit_cost_s).callbacks.append(
-            self.submitted)
+        node.sim.after(node.host.submit_cost_s, self.submitted)
 
     def submitted(self, _timeout: Event) -> None:
         node = self.node
@@ -100,10 +99,10 @@ class _NodeRequest:
         host = node.host
         self.cost = (host.completion_base_s
                      + host.completion_per_buffer_s * node.live_buffers)
-        node._cpu.request().callbacks.append(self.complete_granted)
+        node._cpu.request_then(self.complete_granted)
 
     def complete_granted(self, _grant: Event) -> None:
-        self.node.sim.timeout(self.cost).callbacks.append(self.completed)
+        self.node.sim.after(self.cost, self.completed)
 
     def completed(self, _timeout: Event) -> None:
         node = self.node
@@ -195,10 +194,10 @@ class StorageNode:
         if controller is None:
             raise ValueError(f"{request!r}: unknown disk {request.disk_id}")
         sim = self.sim
-        stamp_submit(request, sim.now)
+        if request.submit_time == 0.0:  # inlined stamp_submit()
+            request.submit_time = sim.now
         event = sim.event(name="node")
-        sim.timeout(0.0).callbacks.append(
-            _NodeRequest(self, controller, request, event).start)
+        sim.after(0.0, _NodeRequest(self, controller, request, event).start)
         return event
 
     # -- reporting -----------------------------------------------------------------

@@ -34,7 +34,7 @@
 #include <Python.h>
 #include <structmember.h>
 
-#define EVENTCORE_VERSION "1"
+#define EVENTCORE_VERSION "2"
 
 /* ---------------------------------------------------------------- caches */
 
@@ -43,6 +43,7 @@ static int caches_ready = 0;
 static PyObject *EventClass = NULL;     /* repro.sim.events.Event */
 static PyObject *TimeoutClass = NULL;   /* repro.sim.events.Timeout */
 static PyObject *ProcessClass = NULL;   /* repro.sim.events.Process */
+static PyObject *ResourceClass = NULL;  /* repro.sim.resources.Resource */
 
 /* Event slots (shared by every subclass). */
 static Py_ssize_t off_ev_name = -1;
@@ -58,6 +59,11 @@ static Py_ssize_t off_pr_send = -1;
 static Py_ssize_t off_pr_waiting_on = -1;
 static Py_ssize_t off_pr_interrupts = -1;
 static Py_ssize_t off_pr_started = -1;
+/* Resource slots. */
+static Py_ssize_t off_res_capacity = -1;
+static Py_ssize_t off_res_in_use = -1;
+static Py_ssize_t off_res_waiters = -1;
+static Py_ssize_t off_res_name = -1;
 /* Simulator slots. */
 static Py_ssize_t off_sim_now = -1;
 static Py_ssize_t off_sim_failures = -1;
@@ -66,6 +72,7 @@ static PyObject *int_zero = NULL;       /* the small-int singletons the  */
 static PyObject *int_one = NULL;        /* Python kernel stores in _state */
 static PyObject *int_two = NULL;
 static PyObject *empty_string = NULL;
+static PyObject *float_zero = NULL;     /* the delay of a grant's timeout */
 
 static PyObject *s_resume = NULL;            /* "_resume" */
 static PyObject *s_finish = NULL;            /* "_finish" */
@@ -77,6 +84,8 @@ static PyObject *s_callbacks = NULL;         /* "callbacks" */
 static PyObject *s_waiting_on = NULL;        /* "_waiting_on" */
 static PyObject *s_append = NULL;            /* "append" */
 static PyObject *s_value = NULL;             /* "value" */
+static PyObject *s_popleft = NULL;           /* "popleft" */
+static PyObject *s_succeed = NULL;           /* "succeed" */
 
 #define SLOT(ob, off) (*(PyObject **)((char *)(ob) + (off)))
 
@@ -114,6 +123,7 @@ static int
 ensure_caches(void)
 {
     PyObject *events_mod = NULL, *engine_mod = NULL, *sim_cls = NULL;
+    PyObject *resources_mod = NULL;
 
     if (caches_ready)
         return 0;
@@ -133,6 +143,12 @@ ensure_caches(void)
     sim_cls = PyObject_GetAttrString(engine_mod, "Simulator");
     if (sim_cls == NULL)
         goto error;
+    resources_mod = PyImport_ImportModule("repro.sim.resources");
+    if (resources_mod == NULL)
+        goto error;
+    ResourceClass = PyObject_GetAttrString(resources_mod, "Resource");
+    if (ResourceClass == NULL)
+        goto error;
 
     if ((off_ev_name = slot_offset(EventClass, "name")) < 0 ||
         (off_ev_callbacks = slot_offset(EventClass, "callbacks")) < 0 ||
@@ -145,6 +161,10 @@ ensure_caches(void)
         (off_pr_waiting_on = slot_offset(ProcessClass, "_waiting_on")) < 0 ||
         (off_pr_interrupts = slot_offset(ProcessClass, "_interrupts")) < 0 ||
         (off_pr_started = slot_offset(ProcessClass, "_started")) < 0 ||
+        (off_res_capacity = slot_offset(ResourceClass, "capacity")) < 0 ||
+        (off_res_in_use = slot_offset(ResourceClass, "_in_use")) < 0 ||
+        (off_res_waiters = slot_offset(ResourceClass, "_waiters")) < 0 ||
+        (off_res_name = slot_offset(ResourceClass, "name")) < 0 ||
         (off_sim_now = slot_offset(sim_cls, "now")) < 0 ||
         (off_sim_failures = slot_offset(sim_cls, "_failures")) < 0)
         goto error;
@@ -153,6 +173,7 @@ ensure_caches(void)
     int_one = PyLong_FromLong(1);
     int_two = PyLong_FromLong(2);
     empty_string = PyUnicode_InternFromString("");
+    float_zero = PyFloat_FromDouble(0.0);
     s_resume = PyUnicode_InternFromString("_resume");
     s_finish = PyUnicode_InternFromString("_finish");
     s_process_callbacks = PyUnicode_InternFromString("_process_callbacks");
@@ -163,8 +184,11 @@ ensure_caches(void)
     s_waiting_on = PyUnicode_InternFromString("_waiting_on");
     s_append = PyUnicode_InternFromString("append");
     s_value = PyUnicode_InternFromString("value");
+    s_popleft = PyUnicode_InternFromString("popleft");
+    s_succeed = PyUnicode_InternFromString("succeed");
     if (int_zero == NULL || int_one == NULL || int_two == NULL ||
-        empty_string == NULL || s_resume == NULL || s_finish == NULL ||
+        empty_string == NULL || float_zero == NULL || s_popleft == NULL ||
+        s_succeed == NULL || s_resume == NULL || s_finish == NULL ||
         s_process_callbacks == NULL || s_raise_orphans == NULL ||
         s_state == NULL || s_sole_waiter == NULL || s_callbacks == NULL ||
         s_waiting_on == NULL || s_append == NULL || s_value == NULL)
@@ -173,6 +197,7 @@ ensure_caches(void)
     Py_DECREF(events_mod);
     Py_DECREF(engine_mod);
     Py_DECREF(sim_cls);
+    Py_DECREF(resources_mod);
     caches_ready = 1;
     return 0;
 
@@ -180,6 +205,7 @@ error:
     Py_XDECREF(events_mod);
     Py_XDECREF(engine_mod);
     Py_XDECREF(sim_cls);
+    Py_XDECREF(resources_mod);
     return -1;
 }
 
@@ -875,6 +901,213 @@ core_wakeup(EventCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
     return ev;
 }
 
+/* after(delay, step) without the Python frame: a pooled (or new)
+ * Timeout pushed at now + delay, with `step` appended to its callback
+ * list here -- the pushes and order of HeapqCore.after's
+ * `timeout(delay).callbacks.append(step)`. */
+static int
+after_push(EventCoreObject *self, PyObject *delay_obj, double delay,
+           PyObject *step)
+{
+    PyObject *timeout, *callbacks;
+    int rc;
+
+    if (delay < 0) {
+        PyErr_Format(PyExc_ValueError, "negative timeout delay: %S",
+                     delay_obj);
+        return -1;
+    }
+    if (PyList_GET_SIZE(self->timeout_pool) > 0) {
+        double now = PyFloat_AsDouble(SLOT(self->sim, off_sim_now));
+
+        if (now == -1.0 && PyErr_Occurred())
+            return -1;
+        timeout = pool_pop(self->timeout_pool);
+        if (timeout == NULL)
+            return -1;
+        /* Reset on entry to the pool, as in core_timeout. */
+        slot_store(timeout, off_to_delay, delay_obj);
+        slot_store(timeout, off_ev_state, int_one);  /* Event.TRIGGERED */
+        if (heap_push(self, now + delay, timeout) < 0) {
+            Py_DECREF(timeout);
+            return -1;
+        }
+    }
+    else {
+        /* Timeout.__init__ pushes itself. */
+        timeout = PyObject_CallFunctionObjArgs(TimeoutClass, self->sim,
+                                               delay_obj, NULL);
+        if (timeout == NULL)
+            return -1;
+    }
+    callbacks = SLOT(timeout, off_ev_callbacks);
+    if (callbacks == NULL) {
+        PyErr_SetString(PyExc_AttributeError,
+                        "Timeout has no attribute 'callbacks'");
+        rc = -1;
+    }
+    else if (PyList_CheckExact(callbacks))
+        rc = PyList_Append(callbacks, step);
+    else {
+        PyObject *r = PyObject_CallMethodOneArg(callbacks, s_append, step);
+        rc = r == NULL ? -1 : 0;
+        Py_XDECREF(r);
+    }
+    Py_DECREF(timeout);
+    return rc;
+}
+
+static PyObject *
+core_after(EventCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double delay;
+
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "after() takes exactly 2 arguments (delay, step)");
+        return NULL;
+    }
+    delay = PyFloat_AsDouble(args[0]);
+    if (delay == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (after_push(self, args[0], delay, args[1]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* A Resource's slot, read through its member offset; NULL (with
+ * AttributeError) when unset. */
+static PyObject *
+resource_slot(PyObject *resource, Py_ssize_t off, const char *name)
+{
+    PyObject *v = SLOT(resource, off);
+
+    if (v == NULL)
+        PyErr_Format(PyExc_AttributeError,
+                     "Resource has no attribute '%s'", name);
+    return v;
+}
+
+static int
+check_resource(PyObject *resource)
+{
+    if (!PyObject_TypeCheck(resource, (PyTypeObject *)ResourceClass)) {
+        PyErr_Format(PyExc_TypeError, "expected a Resource, got %R",
+                     Py_TYPE(resource));
+        return -1;
+    }
+    return 0;
+}
+
+/* HeapqCore.request_then, compiled. */
+static PyObject *
+core_request_then(EventCoreObject *self, PyObject *const *args,
+                  Py_ssize_t nargs)
+{
+    PyObject *resource, *step, *in_use, *capacity;
+    int free_slot;
+
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "request_then() takes exactly 2 arguments "
+                        "(resource, step)");
+        return NULL;
+    }
+    resource = args[0];
+    step = args[1];
+    if (check_resource(resource) < 0 ||
+        (in_use = resource_slot(resource, off_res_in_use,
+                                "_in_use")) == NULL ||
+        (capacity = resource_slot(resource, off_res_capacity,
+                                  "capacity")) == NULL)
+        return NULL;
+    free_slot = PyObject_RichCompareBool(in_use, capacity, Py_LT);
+    if (free_slot < 0)
+        return NULL;
+    if (free_slot) {
+        PyObject *more = PyNumber_Add(in_use, int_one);
+        if (more == NULL)
+            return NULL;
+        slot_store(resource, off_res_in_use, more);
+        Py_DECREF(more);
+        if (after_push(self, float_zero, 0.0, step) < 0)
+            return NULL;
+    }
+    else {
+        PyObject *waiters = resource_slot(resource, off_res_waiters,
+                                          "_waiters");
+        PyObject *r;
+        if (waiters == NULL)
+            return NULL;
+        r = PyObject_CallMethodOneArg(waiters, s_append, step);
+        if (r == NULL)
+            return NULL;
+        Py_DECREF(r);
+    }
+    Py_RETURN_NONE;
+}
+
+/* HeapqCore.release, compiled. */
+static PyObject *
+core_release(EventCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *resource, *in_use, *waiters;
+    Py_ssize_t queued;
+    int idle;
+
+    if (nargs != 1) {
+        PyErr_SetString(PyExc_TypeError,
+                        "release() takes exactly 1 argument (resource)");
+        return NULL;
+    }
+    resource = args[0];
+    if (check_resource(resource) < 0 ||
+        (in_use = resource_slot(resource, off_res_in_use,
+                                "_in_use")) == NULL)
+        return NULL;
+    idle = PyObject_RichCompareBool(in_use, int_zero, Py_LE);
+    if (idle < 0)
+        return NULL;
+    if (idle) {
+        PyObject *name = resource_slot(resource, off_res_name, "name");
+        if (name != NULL)
+            PyErr_Format(PyExc_RuntimeError,
+                         "release() on idle resource %R", name);
+        return NULL;
+    }
+    waiters = resource_slot(resource, off_res_waiters, "_waiters");
+    if (waiters == NULL)
+        return NULL;
+    queued = PyObject_Length(waiters);
+    if (queued < 0)
+        return NULL;
+    if (queued > 0) {
+        PyObject *waiter = PyObject_CallMethodNoArgs(waiters, s_popleft);
+        int rc;
+        if (waiter == NULL)
+            return NULL;
+        if (PyObject_TypeCheck(waiter, (PyTypeObject *)EventClass)) {
+            PyObject *r = PyObject_CallMethodOneArg(waiter, s_succeed,
+                                                    resource);
+            rc = r == NULL ? -1 : 0;
+            Py_XDECREF(r);
+        }
+        else
+            rc = after_push(self, float_zero, 0.0, waiter);
+        Py_DECREF(waiter);
+        if (rc < 0)
+            return NULL;
+    }
+    else {
+        PyObject *fewer = PyNumber_Subtract(in_use, int_one);
+        if (fewer == NULL)
+            return NULL;
+        slot_store(resource, off_res_in_use, fewer);
+        Py_DECREF(fewer);
+    }
+    Py_RETURN_NONE;
+}
+
 static PyObject *
 core_drive(EventCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -956,6 +1189,16 @@ static PyMethodDef core_methods[] = {
      METH_FASTCALL | METH_KEYWORDS,
      "timeout(delay, value=None, name='') -> Timeout\n\n"
      "Pooled timeout factory (see HeapqCore.timeout)."},
+    {"after", (PyCFunction)(void (*)(void))core_after, METH_FASTCALL,
+     "after(delay, step)\n\nCall step(timeout) delay seconds from now\n"
+     "(see HeapqCore.after)."},
+    {"request_then", (PyCFunction)(void (*)(void))core_request_then,
+     METH_FASTCALL,
+     "request_then(resource, step)\n\nGrant a slot of resource to step\n"
+     "(see HeapqCore.request_then)."},
+    {"release", (PyCFunction)(void (*)(void))core_release, METH_FASTCALL,
+     "release(resource)\n\nFree a slot of resource, waking its oldest\n"
+     "waiter (see HeapqCore.release)."},
     {"event", (PyCFunction)(void (*)(void))core_event,
      METH_FASTCALL | METH_KEYWORDS,
      "event(name='') -> Event\n\nPooled pending-event factory."},

@@ -9,11 +9,11 @@ implementation, kept verbatim as the reference.
 tracing, and the ``until`` semantics of :meth:`Simulator.run`.
 
 The factory entry points the hot paths call millions of times per
-experiment — ``sim.timeout``, ``sim.event``, ``sim._push``,
-``sim._wakeup`` — are the core's bound methods installed directly into
-instance slots at construction, so a pooled timeout is one call with no
-extra indirection regardless of backend (and one C call on the compiled
-core).
+experiment — ``sim.timeout``, ``sim.after``, ``sim.event``,
+``sim._push``, ``sim._wakeup`` — are the core's bound methods installed
+directly into instance slots at construction, so a pooled timeout is
+one call with no extra indirection regardless of backend (and one C
+call on the compiled core).
 
 Traced runs always take the readable per-event reference path through
 ``core.pop()`` + :meth:`Simulator.step`-equivalent dispatch: tracing is
@@ -70,10 +70,15 @@ class Simulator:
         Event factories — the active core's bound methods, installed
         into slots at construction (see the module docstring). Their
         semantics are documented on :class:`repro.sim.eventcore.HeapqCore`.
+    after:
+        ``after(delay, step)`` calls ``step(timeout)`` ``delay`` seconds
+        from now: the one call for
+        ``timeout(delay).callbacks.append(step)``, with the same push.
+        Every callback chain waits on time with it.
     """
 
     __slots__ = ("now", "trace", "_failures", "_active", "_core",
-                 "timeout", "event", "_push", "_wakeup")
+                 "timeout", "after", "event", "_push", "_wakeup")
 
     def __init__(self, start_time: float = 0.0, trace: Any = None,
                  backend: Optional[str] = None):
@@ -87,6 +92,7 @@ class Simulator:
         # hottest factory calls go straight to the core with no
         # delegating Python frame in between.
         self.timeout = core.timeout
+        self.after = core.after
         self.event = core.event
         self._push = core.push
         self._wakeup = core.wakeup

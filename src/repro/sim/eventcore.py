@@ -202,6 +202,16 @@ class HeapqCore:
             return timeout
         return Timeout(self.sim, delay, value=value, name=name)
 
+    def after(self, delay: float, step: Any) -> None:
+        """Call ``step(timeout)`` ``delay`` seconds from now.
+
+        The one call for ``timeout(delay).callbacks.append(step)``: the
+        push, its ``(time, seq)`` place and the pooled timeout are the
+        ones that line makes. The compiled core fills the timeout's
+        callback list in C.
+        """
+        self.timeout(delay).callbacks.append(step)
+
     def event(self, name: str = "") -> Event:
         """Create a pending :class:`Event`, recycling when possible."""
         pool = self.event_pool
@@ -229,6 +239,38 @@ class HeapqCore:
         self._sequence = sequence = self._sequence + 1
         heappush(self._heap, (self.sim.now, sequence, event))
         return event
+
+    # -- resource slots ---------------------------------------------------
+    def request_then(self, resource: Any, step: Any) -> None:
+        """Grant a slot of ``resource`` to ``step`` (FIFO behind waiters).
+
+        A free slot hands off with ``after(0.0, step)``: the push, at the
+        same point, that ``request()`` plus ``succeed()`` makes.
+        :class:`repro.sim.resources.Resource` binds this and
+        :meth:`release` to itself.
+        """
+        if resource._in_use < resource.capacity:
+            resource._in_use += 1
+            self.timeout(0.0).callbacks.append(step)
+        else:
+            resource._waiters.append(step)
+
+    def release(self, resource: Any) -> None:
+        """Free a slot of ``resource``, handing it to the oldest waiter:
+        an Event (from ``request()``) succeeds with the resource, a step
+        (from :meth:`request_then`) is called after zero delay."""
+        if resource._in_use <= 0:
+            raise RuntimeError(
+                f"release() on idle resource {resource.name!r}")
+        waiters = resource._waiters
+        if waiters:
+            waiter = waiters.popleft()
+            if isinstance(waiter, Event):
+                waiter.succeed(resource)
+            else:
+                self.timeout(0.0).callbacks.append(waiter)
+        else:
+            resource._in_use -= 1
 
     # -- hot loop ---------------------------------------------------------
     def drive(self, until: Optional[float]) -> None:

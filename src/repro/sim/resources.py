@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import typing
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event
@@ -22,9 +23,12 @@ __all__ = ["Pipe", "Resource", "Store"]
 
 
 class Resource:
-    """A semaphore with ``capacity`` slots and a FIFO wait queue.
+    """A semaphore with ``capacity`` slots and one FIFO of waiters.
 
-    Usage pattern inside a process::
+    A waiter is either a *step* or an :class:`Event`. Callback chains
+    wait with :meth:`request_then`, which calls ``step(event)`` once a
+    slot is theirs; process code waits on the event :meth:`request`
+    returns::
 
         grant = resource.request()
         yield grant
@@ -32,10 +36,20 @@ class Resource:
             ...  # hold the resource
         finally:
             resource.release()
+
+    Both kinds share the FIFO, so grants follow request order whatever
+    the mix. A slot handed to a step is one ``sim.after(0.0, step)``:
+    the push, at the same point, that ``request()`` plus ``succeed()``
+    makes, with no Event built for it (DESIGN.md §4, "Hops that wait").
+
+    ``request_then`` and ``release`` are the event core's, bound to this
+    resource at construction: C functions on the compiled core, and the
+    Python reference of :class:`repro.sim.eventcore.HeapqCore` on the
+    heapq core.
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters",
-                 "_grant_name")
+                 "_grant_name", "request_then", "release")
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -44,10 +58,18 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        #: steps and grant events, oldest first
+        self._waiters: deque[Any] = deque()
         #: precomputed once — request() runs once per grant, and the
         #: f-string per call was measurable across millions of requests
         self._grant_name = f"grant:{name}"
+        core = sim._core
+        #: ``request_then(step)``: call ``step(event)`` once a slot is
+        #: granted (FIFO behind every earlier waiter)
+        self.request_then: Callable[[Callable[[Event], Any]], None] = \
+            partial(core.request_then, self)
+        #: ``release()``: free one slot, waking the oldest waiter if any
+        self.release: Callable[[], None] = partial(core.release, self)
 
     @property
     def in_use(self) -> int:
@@ -56,7 +78,7 @@ class Resource:
 
     @property
     def queued(self) -> int:
-        """Number of processes waiting for a slot."""
+        """Number of waiters (steps and events) for a slot."""
         return len(self._waiters)
 
     def request(self) -> Event:
@@ -68,16 +90,6 @@ class Resource:
         else:
             self._waiters.append(grant)
         return grant
-
-    def release(self) -> None:
-        """Free one slot, waking the longest waiter if any."""
-        if self._in_use <= 0:
-            raise RuntimeError(f"release() on idle resource {self.name!r}")
-        if self._waiters:
-            # Hand the slot straight to the next waiter.
-            self._waiters.popleft().succeed(self)
-        else:
-            self._in_use -= 1
 
     def __repr__(self) -> str:
         return (f"<Resource {self.name!r} {self._in_use}/{self.capacity}"
@@ -171,7 +183,8 @@ class Pipe:
     """
 
     __slots__ = ("sim", "bandwidth", "per_transfer_overhead", "name",
-                 "_lock", "bytes_moved", "transfers", "busy_time")
+                 "_lock", "_in_flight", "bytes_moved", "transfers",
+                 "busy_time")
 
     def __init__(self, sim: "Simulator", bandwidth: float,
                  per_transfer_overhead: float = 0.0, name: str = ""):
@@ -184,6 +197,8 @@ class Pipe:
         self.per_transfer_overhead = float(per_transfer_overhead)
         self.name = name
         self._lock = Resource(sim, capacity=1, name=f"pipe:{name}")
+        #: ``(nbytes, then)`` of every unfinished transfer, oldest first
+        self._in_flight: deque[tuple[int, Callable[[], Any]]] = deque()
         self.bytes_moved = 0
         self.transfers = 0
         self.busy_time = 0.0
@@ -205,8 +220,23 @@ class Pipe:
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
-        self._lock.request().callbacks.append(
-            _Transfer(self, nbytes, then).granted)
+        self._in_flight.append((nbytes, then))
+        self._lock.request_then(self._granted)
+
+    def _granted(self, _grant: Event) -> None:
+        # One slot granted in request order: the holder is the oldest
+        # unfinished transfer.
+        nbytes = self._in_flight[0][0]
+        self.sim.after(self.per_transfer_overhead + nbytes / self.bandwidth,
+                       self._moved)
+
+    def _moved(self, _timeout: Event) -> None:
+        nbytes, then = self._in_flight.popleft()
+        self.bytes_moved += nbytes
+        self.transfers += 1
+        self.busy_time += self.per_transfer_overhead + nbytes / self.bandwidth
+        self._lock.release()
+        then()
 
     def transfer(self, nbytes: int):
         """Process generator: move ``nbytes`` through the pipe.
@@ -229,28 +259,3 @@ class Pipe:
     def __repr__(self) -> str:
         return (f"<Pipe {self.name!r} {self.bandwidth / 1e6:.0f} MB/s "
                 f"moved={self.bytes_moved}>")
-
-
-class _Transfer:
-    """One :meth:`Pipe.transfer_then` in flight: grant, hold, book."""
-
-    __slots__ = ("pipe", "nbytes", "service", "then")
-
-    def __init__(self, pipe: Pipe, nbytes: int, then: Callable[[], Any]):
-        self.pipe = pipe
-        self.nbytes = nbytes
-        self.then = then
-
-    def granted(self, _grant: Event) -> None:
-        pipe = self.pipe
-        self.service = service = (pipe.per_transfer_overhead
-                                  + self.nbytes / pipe.bandwidth)
-        pipe.sim.timeout(service).callbacks.append(self.done)
-
-    def done(self, _timeout: Event) -> None:
-        pipe = self.pipe
-        pipe.bytes_moved += self.nbytes
-        pipe.transfers += 1
-        pipe.busy_time += self.service
-        pipe._lock.release()
-        self.then()

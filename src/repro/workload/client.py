@@ -69,7 +69,7 @@ class StreamClient:
         slots = []
         for slot in range(self.spec.outstanding):
             done = sim.event(f"client{self.spec.stream_id}.{slot}")
-            sim.timeout(0.0).callbacks.append(_Slot(self, done)._next)
+            sim.after(0.0, _Slot(self, done)._next)
             slots.append(done)
         done = sim.all_of(slots)
         done.callbacks.append(self._record_finish)
@@ -165,7 +165,7 @@ class _Slot:
         client.latency.observe(now - self.issued_at)
         think_time = client.spec.think_time
         if think_time > 0:
-            client.sim.timeout(think_time).callbacks.append(self._next)
+            client.sim.after(think_time, self._next)
         else:
             self.next()
 

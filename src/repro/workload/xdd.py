@@ -70,7 +70,7 @@ class _Reader:
         self.progress[self.stream] += self.block_size
         self.offset += self.block_size
         if self.think_time > 0:
-            sim.timeout(self.think_time).callbacks.append(self._next)
+            sim.after(self.think_time, self._next)
         else:
             self.next()
 
@@ -133,7 +133,7 @@ def run_xdd(sim: Simulator, cache: BufferCache, num_streams: int,
         reader = _Reader(sim, cache, disk_id, block_size, think_time,
                          progress, latency, stream, offset,
                          min(offset + per_stream_bytes, capacity))
-        sim.timeout(0.0).callbacks.append(reader._next)
+        sim.after(0.0, reader._next)
     if settle_blocks > 0:
         # Warm up past the readahead-window ramp: measure only after
         # every stream has pulled enough blocks for its window to reach

@@ -78,6 +78,26 @@ def test_flush_barrier():
     assert drive.stats.counter("destaged").count >= 1
 
 
+def test_flush_waits_for_the_run_being_destaged():
+    """A run being destaged has left the dirty list but not the media:
+    a flush raised meanwhile fires only when that destage ends."""
+    sim = Simulator()
+    drive = make_drive(sim)
+    drive.submit(write(300 * MiB))
+    sim.run(until=0.001)
+    assert not drive._dirty and drive._dirty_sectors == 128
+    fired = []
+    barrier = drive.flush()
+    barrier.callbacks.append(
+        lambda event: fired.append((sim.now, drive._dirty_sectors)))
+    sim.run()
+    assert len(fired) == 1
+    when, dirty = fired[0]
+    assert dirty == 0
+    assert when > 0.007
+    assert drive.stats.counter("destaged").total_bytes == 64 * KiB
+
+
 def test_flush_on_clean_drive_is_immediate():
     sim = Simulator()
     drive = make_drive(sim)

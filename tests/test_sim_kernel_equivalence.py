@@ -241,11 +241,18 @@ class _Hop:
         self.done = sim.event(f"hop{ident}")
 
     def start(self, _event):
-        self.world["cpu"].request().callbacks.append(self.granted)
+        # Both forms of a grant and of a wait share the one FIFO.
+        if self.ident % 2:
+            self.world["cpu"].request().callbacks.append(self.granted)
+        else:
+            self.world["cpu"].request_then(self.granted)
 
     def granted(self, _grant):
-        self.sim.timeout(0.001 * (self.ident % 3)).callbacks.append(
-            self.computed)
+        delay = 0.001 * (self.ident % 3)
+        if self.ident % 4 < 2:
+            self.sim.timeout(delay).callbacks.append(self.computed)
+        else:
+            self.sim.after(delay, self.computed)
 
     def computed(self, _timeout):
         self.world["cpu"].release()
